@@ -15,16 +15,19 @@
 //!
 //! Water-filling decomposes over connected components: rounds in one
 //! component never influence another (the fill level of a link depends
-//! only on its own members and frozen load). The epoch recompute runs
-//! [`WaterfillInstance::compile_subset`] over the region's links —
-//! which preserves network link order, hence freezing order and
-//! bottleneck scan order — so the recomputed rates and bottlenecks are
-//! **bit-identical** (in both exact-rational and `TotalF64` modes) to
-//! a fresh full run over the live set, and the engine's
-//! [`levels`](ChurnEngine::levels) equal the fresh run's up to the
-//! sorted-dedup normalization described on that method. The `verify` flag of [`ChurnConfig`] asserts
-//! exactly that against a full-recompute oracle after every epoch, and
-//! the `incremental_oracle` proptest suite pins it over random traces.
+//! only on its own members and frozen load). The epoch recompute pushes
+//! just the region's flows, in ascending slot order, into a run of the
+//! engine's one full [`WaterfillInstance`]; the run scans only links
+//! with unfrozen members, in dense (= network link) order, so the
+//! region's freezing order and bottleneck scan order are those of a
+//! full run restricted to the region. The recomputed rates and
+//! bottlenecks are therefore **bit-identical** (in both exact-rational
+//! and `TotalF64` modes) to a fresh full run over the live set, and the
+//! engine's [`levels`](ChurnEngine::levels) equal the fresh run's up to
+//! the sorted-dedup normalization described on that method. The
+//! `verify` flag of [`ChurnConfig`] asserts exactly that against a
+//! full-recompute oracle after every epoch, and the
+//! `incremental_oracle` proptest suite pins it over random traces.
 //!
 //! Because routing, slot assignment, and link bookkeeping all happen at
 //! *apply* time (they are pure functions of the event prefix), the
@@ -121,7 +124,7 @@ struct Slot<S> {
     len: u32,
     /// Cached max-min rate as of the last epoch covering this flow.
     rate: S,
-    /// Bottleneck link (full-instance dense index) as of that epoch.
+    /// Bottleneck link (dense index) as of that epoch.
     bottleneck: u32,
     live: bool,
 }
@@ -196,7 +199,6 @@ pub struct ChurnEngine<S, F: Fabric = ClosNetwork> {
     slot_mark: Vec<bool>,
     affected: Vec<u32>,
     link_stack: Vec<usize>,
-    region: Vec<LinkId>,
 
     stats: RecomputeStats,
 }
@@ -238,7 +240,6 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             slot_mark: Vec::new(),
             affected: Vec::new(),
             link_stack: Vec::new(),
-            region: Vec::new(),
             stats: RecomputeStats::default(),
             fabric,
         }
@@ -447,8 +448,8 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
 
         // Close the dirty links under flow↔link incidence: every flow on
         // a region link joins the region along with all of its links, so
-        // the region covers whole connected components and a subset run
-        // over it is exact (see the module docs).
+        // the region covers whole connected components and a run over
+        // just the affected flows is exact (see the module docs).
         self.slot_mark.resize(self.slots.len(), false);
         self.affected.clear();
         self.link_stack.clear();
@@ -468,14 +469,13 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
                     if !self.dirty[l] {
                         self.dirty[l] = true;
                         // A zero-capacity (failed) link joins the
-                        // region — its members' links must resolve in
-                        // the subset compile — but does not propagate:
-                        // it pins every member at rate zero, so the
-                        // components it bridges are independent beyond
-                        // it. Seeds from `dirty_list` still expand
-                        // unconditionally, which is exactly what
-                        // recomputes a dying link's members to zero in
-                        // the epoch after `apply_failure`.
+                        // region but does not propagate: it pins every
+                        // member at rate zero, so the components it
+                        // bridges are independent beyond it. Seeds from
+                        // `dirty_list` still expand unconditionally,
+                        // which is exactly what recomputes a dying
+                        // link's members to zero in the epoch after
+                        // `apply_failure`.
                         if !self.instance.capacity(l).is_zero() {
                             self.link_stack.push(l);
                         }
@@ -483,21 +483,14 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
                 }
             }
         }
-        // Region links in dense (= network) order, for the subset
-        // compile; `dirty` currently marks exactly the region.
-        self.region.clear();
-        for d in 0..self.instance.link_count() {
-            if self.dirty[d] {
-                self.region.push(self.instance.link_id(d));
-                self.dirty[d] = false;
-            }
-        }
+        // `dirty` currently marks exactly the region; clearing the whole
+        // O(links) array is cheaper than revisiting the affected flows.
+        self.dirty.fill(false);
         self.dirty_list.clear();
         // Recompute affected flows in ascending slot order — the same
         // relative order a full run over all live slots would use.
         self.affected.sort_unstable();
 
-        let sub = WaterfillInstance::<S>::compile_subset(self.fabric.network(), &self.region);
         self.scratch.begin();
         for idx in 0..self.affected.len() {
             let slot = self.affected[idx] as usize;
@@ -506,25 +499,18 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             let plen = self.slots[slot].len as usize;
             self.flow_links.clear();
             for j in 0..plen {
-                let d = self.slot_links[base + j] as usize;
-                let Some(sd) = sub.dense_index(self.instance.link_id(d)) else {
-                    unreachable!("region is closed under incidence")
-                };
-                self.flow_links.push(sd);
+                self.flow_links.push(self.slot_links[base + j] as usize);
             }
             self.scratch.push_flow(&self.flow_links);
         }
-        sub.run(&mut self.scratch);
+        self.instance.run(&mut self.scratch);
 
         let rates = self.scratch.rates();
         let bottlenecks = self.scratch.bottlenecks();
         for (i, &slot) in self.affected.iter().enumerate() {
             let s = &mut self.slots[slot as usize];
             s.rate = rates[i];
-            let Some(full) = self.instance.dense_index(sub.link_id(bottlenecks[i])) else {
-                unreachable!("subset links come from the full instance")
-            };
-            s.bottleneck = full as u32;
+            s.bottleneck = bottlenecks[i] as u32;
         }
         let recomputed = self.affected.len() as u64;
         let reused = self.live as u64 - recomputed;

@@ -11,8 +11,9 @@
 //!   finite-link indices of the candidate path, stored CSR-style so
 //!   fabrics with different path lengths (4 links on Clos, `2r` on a
 //!   Benes of order `r`, 6 on a fat-tree) share one layout, plus the
-//!   [`WaterfillInstance`] over exactly the links any assignment can
-//!   use. Applying an assignment is an O(flows) table walk.
+//!   fabric's [`WaterfillInstance`] (whose runs skip the links no
+//!   assigned path crosses). Applying an assignment is an O(flows)
+//!   table walk.
 //! * [`EvalScratch`] — the per-worker scratch: the water-filling buffers
 //!   plus reusable sort/cover buffers for objectives. One scratch per
 //!   block worker keeps evaluation allocation-free in the steady state
@@ -62,7 +63,7 @@ use clos_telemetry::timers;
 pub struct CompiledInstance {
     class_count: usize,
     flow_count: usize,
-    /// Water-filling over exactly the finite links some assignment uses.
+    /// Water-filling over the fabric's finite links.
     waterfill: WaterfillInstance<Rational>,
     /// CSR path table: the dense link indices of flow `i`'s path via
     /// class `c` sit at `links[offsets[e]..offsets[e + 1]]` with
@@ -87,15 +88,7 @@ impl CompiledInstance {
         let _span = clos_telemetry::span("search.compile");
         let n = fabric.class_count();
         let len_bound = fabric.max_path_len();
-        let mut used: Vec<LinkId> = Vec::with_capacity(flows.len() * n * len_bound);
-        for &f in flows {
-            for c in 0..n {
-                fabric.append_links_via(f, c, &mut used);
-            }
-        }
-        used.sort_unstable();
-        used.dedup();
-        let waterfill = WaterfillInstance::compile_subset(fabric.network(), &used);
+        let waterfill = WaterfillInstance::compile(fabric.network());
         let mut links = Vec::with_capacity(flows.len() * n * len_bound);
         let mut offsets = Vec::with_capacity(flows.len() * n + 1);
         offsets.push(0);

@@ -23,6 +23,20 @@
 //! compile-then-run wrappers over this module, so results are identical
 //! by construction (and pinned by the `compiled_equivalence` test suite).
 //!
+//! # One instance per network
+//!
+//! A run only ever looks at the links its described flows cross: after
+//! building the member lists it records the links with unfrozen members
+//! in ascending dense order, scans only those each round, and drops a
+//! link from the list once its last member freezes. Idle links cost one
+//! table entry per run and nothing per round, so callers that touch a
+//! small part of a large network — a search over a few flows, a churn
+//! epoch recomputing one pod — run against the single full
+//! [`WaterfillInstance::compile`] instead of building a smaller one.
+//! Because the surviving links keep their relative order, the minimum
+//! and freeze scans visit links exactly as a scan over every link would,
+//! and rates, levels, and bottlenecks are unchanged bit for bit.
+//!
 //! # The scratch-reuse contract
 //!
 //! Between `run`s the scratch may only be refilled via
@@ -96,41 +110,8 @@ impl<S: Scalar> WaterfillInstance<S> {
         instance
     }
 
-    /// Compiles only the given subset of `net`'s links (duplicates and
-    /// infinite links are dropped), still in network link order — so a
-    /// run over the subset freezes flows in exactly the order a full
-    /// compile would, provided every flow's links lie in the subset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a link id is out of range for `net`.
-    #[must_use]
-    pub fn compile_subset(net: &Network, links: &[LinkId]) -> WaterfillInstance<S> {
-        let mut keep = vec![false; net.link_count()];
-        for &l in links {
-            assert!(l.index() < net.link_count(), "link outside the network");
-            keep[l.index()] = true;
-        }
-        let mut instance = WaterfillInstance {
-            dense_of_link: vec![None; net.link_count()],
-            link_ids: Vec::new(),
-            capacities: Vec::new(),
-        };
-        for link in net.links() {
-            if !keep[link.id().index()] {
-                continue;
-            }
-            if let Some(cap) = link.capacity().finite() {
-                instance.dense_of_link[link.id().index()] = Some(instance.link_ids.len());
-                instance.link_ids.push(link.id());
-                instance.capacities.push(S::from_rational(cap));
-            }
-        }
-        instance
-    }
-
-    /// Returns the dense index of `link`, or `None` if it is infinite,
-    /// outside the compiled subset, or outside the network.
+    /// Returns the dense index of `link`, or `None` if it is infinite or
+    /// outside the network.
     #[must_use]
     pub fn dense_index(&self, link: LinkId) -> Option<usize> {
         self.dense_of_link.get(link.index()).copied().flatten()
@@ -153,8 +134,8 @@ impl<S: Scalar> WaterfillInstance<S> {
     }
 
     /// Returns the original ids of every compiled link, in dense order
-    /// (the extension hook incremental recomputation uses to translate a
-    /// dirty region back into network link ids for `compile_subset`).
+    /// (network link order; recompiling a capacity overlay of the same
+    /// network must reproduce it, which the churn engine asserts).
     #[must_use]
     pub fn link_ids(&self) -> &[LinkId] {
         &self.link_ids
@@ -207,10 +188,18 @@ impl<S: Scalar> WaterfillInstance<S> {
         s.member_starts.clear();
         s.member_starts.reserve(links + 1);
         s.member_starts.push(0);
+        // Links with unfrozen members, in ascending dense order: the only
+        // links a round scans. Idle links (no described flow crosses them)
+        // never enter the list, so a run costs nothing per idle link
+        // beyond this table setup.
+        s.active_links.clear();
         let mut total = 0usize;
-        for &c in &s.active_count {
+        for (d, &c) in s.active_count.iter().enumerate() {
             total += c;
             s.member_starts.push(total);
+            if c > 0 {
+                s.active_links.push(d);
+            }
         }
         s.cursor.clear();
         s.cursor.extend_from_slice(&s.member_starts[..links]);
@@ -251,12 +240,9 @@ impl<S: Scalar> WaterfillInstance<S> {
         while remaining > 0 {
             // Minimum saturation level over links with active flows. Every
             // unfrozen flow touches a compiled link (the caller contract),
-            // so while `remaining > 0` some link has `active_count > 0`.
+            // so while `remaining > 0` the active list is non-empty.
             let mut min_level: Option<S> = None;
-            for d in 0..links {
-                if s.active_count[d] == 0 {
-                    continue;
-                }
+            for &d in &s.active_links {
                 if s.stale[d] {
                     s.link_level[d] =
                         saturation_level(self.capacities[d], s.frozen_load[d], s.active_count[d]);
@@ -273,10 +259,7 @@ impl<S: Scalar> WaterfillInstance<S> {
 
             // Freeze every active flow on every link saturating at `level`.
             s.newly_frozen.clear();
-            for d in 0..links {
-                if s.active_count[d] == 0 {
-                    continue;
-                }
+            for &d in &s.active_links {
                 if s.link_level[d] == level {
                     counters::WATERFILL_SATURATIONS.incr();
                     for k in s.member_starts[d]..s.member_starts[d + 1] {
@@ -303,6 +286,10 @@ impl<S: Scalar> WaterfillInstance<S> {
                 }
                 remaining -= 1;
             }
+            // Drained links leave the list; the survivors keep their
+            // relative order, so every scan above visits links in the
+            // order a scan over all links would.
+            s.active_links.retain(|&d| s.active_count[d] > 0);
         }
     }
 }
@@ -344,6 +331,8 @@ pub struct WaterfillScratch<S> {
     newly_frozen: Vec<usize>,
     /// Per-link count of unfrozen member flows.
     active_count: Vec<usize>,
+    /// Dense indices of the links with `active_count > 0`, ascending.
+    active_links: Vec<usize>,
     /// Per-link load already committed by frozen flows.
     frozen_load: Vec<S>,
     /// Cached per-link saturation level (valid where `stale` is false).
@@ -373,6 +362,7 @@ impl<S: Scalar> WaterfillScratch<S> {
             frozen: Vec::new(),
             newly_frozen: Vec::new(),
             active_count: Vec::new(),
+            active_links: Vec::new(),
             frozen_load: Vec::new(),
             link_level: Vec::new(),
             stale: Vec::new(),
@@ -521,27 +511,6 @@ mod tests {
         for (warm, fresh) in fresh_rates {
             assert_eq!(warm, fresh);
         }
-    }
-
-    #[test]
-    fn subset_compile_preserves_network_order() {
-        let ms = MacroSwitch::standard(2);
-        let full = WaterfillInstance::<Rational>::compile(ms.network());
-        // A scrambled, duplicated subset must come out in network order.
-        let subset = vec![
-            full.link_id(3),
-            full.link_id(1),
-            full.link_id(3),
-            full.link_id(5),
-        ];
-        let sub = WaterfillInstance::<Rational>::compile_subset(ms.network(), &subset);
-        assert_eq!(sub.link_count(), 3);
-        assert_eq!(
-            (0..3).map(|d| sub.link_id(d)).collect::<Vec<_>>(),
-            vec![full.link_id(1), full.link_id(3), full.link_id(5)]
-        );
-        assert_eq!(sub.dense_index(full.link_id(3)), Some(1));
-        assert_eq!(sub.dense_index(full.link_id(0)), None);
     }
 
     #[test]

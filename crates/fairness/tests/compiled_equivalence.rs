@@ -10,51 +10,52 @@
 //! allocating call — in exact `Rational` arithmetic and in `TotalF64`,
 //! where "equal" means bit-equal, not approximately equal.
 
-use clos_fairness::{max_min_fair_traced, WaterfillInstance, WaterfillScratch};
-use clos_net::{ClosNetwork, Flow, LinkId, Routing};
+use clos_fairness::{
+    link_loads, max_min_fair_traced, max_min_fair_weighted, verify_bottleneck_property,
+    WaterfillInstance, WaterfillScratch,
+};
+use clos_net::{ClosNetwork, Fabric, FatTree, Flow, LinkId, Routing};
 use clos_rational::{Rational, Scalar, TotalF64};
 use proptest::prelude::*;
 
-/// Builds the flow collection and per-flow middle routing from raw
-/// coordinate tuples.
-fn build(
-    clos: &ClosNetwork,
-    raw_flows: &[(usize, usize, usize, usize)],
-    middles: &[usize],
-) -> (Vec<Flow>, Routing) {
-    let flows: Vec<Flow> = raw_flows
+/// Builds the flow collection on `C_n` from raw coordinate tuples.
+fn clos_flows(clos: &ClosNetwork, raw_flows: &[(usize, usize, usize, usize)]) -> Vec<Flow> {
+    raw_flows
         .iter()
         .map(|&(si, sj, ti, tj)| Flow::new(clos.source(si, sj), clos.destination(ti, tj)))
-        .collect();
-    let routing: Routing = flows
+        .collect()
+}
+
+/// Routes flow `i` via routing class `classes[i]` (on Clos, the middle).
+fn route<F: Fabric>(fabric: &F, flows: &[Flow], classes: &[usize]) -> Routing {
+    flows
         .iter()
-        .zip(middles)
-        .map(|(&f, &m)| clos.path_via(f, m))
-        .collect();
-    (flows, routing)
+        .zip(classes)
+        .map(|(&f, &c)| fabric.path_via_class(f, c))
+        .collect()
 }
 
 /// Runs every assignment through ONE compiled instance and ONE scratch
 /// (reused, never reallocated) and asserts rates, trace levels, and
 /// bottleneck links are exactly those of a fresh `max_min_fair_traced`
 /// call per assignment.
-fn assert_compiled_matches_fresh<S: Scalar>(
-    clos: &ClosNetwork,
-    raw_flows: &[(usize, usize, usize, usize)],
+fn assert_compiled_matches_fresh<S: Scalar, F: Fabric>(
+    fabric: &F,
+    flows: &[Flow],
     assignments: &[Vec<usize>],
 ) {
-    let instance = WaterfillInstance::<S>::compile(clos.network());
+    let instance = WaterfillInstance::<S>::compile(fabric.network());
     let mut scratch = WaterfillScratch::new();
     let mut dense: Vec<usize> = Vec::new();
-    for middles in assignments {
-        let (flows, routing) = build(clos, raw_flows, middles);
-        let (fresh, trace) = max_min_fair_traced::<S>(clos.network(), &flows, &routing).unwrap();
+    for classes in assignments {
+        let routing = route(fabric, flows, classes);
+        let (fresh, trace) = max_min_fair_traced::<S>(fabric.network(), flows, &routing).unwrap();
 
         scratch.begin();
         for path in routing.paths() {
             dense.clear();
             dense.extend(path.links().iter().filter_map(|&l| instance.dense_index(l)));
-            assert!(!dense.is_empty(), "Clos paths always cross finite links");
+            assert!(!dense.is_empty(), "fabric paths always cross finite links");
             scratch.push_flow(&dense);
         }
         instance.run(&mut scratch);
@@ -95,8 +96,9 @@ fn exhaustive_c2_hot_tor_both_scalars() {
     let raw = [(0, 0, 2, 0), (0, 1, 2, 1), (1, 0, 1, 1), (3, 0, 0, 0)];
     let assignments = all_assignments(2, raw.len());
     assert_eq!(assignments.len(), 16);
-    assert_compiled_matches_fresh::<Rational>(&clos, &raw, &assignments);
-    assert_compiled_matches_fresh::<TotalF64>(&clos, &raw, &assignments);
+    let flows = clos_flows(&clos, &raw);
+    assert_compiled_matches_fresh::<Rational, _>(&clos, &flows, &assignments);
+    assert_compiled_matches_fresh::<TotalF64, _>(&clos, &flows, &assignments);
 }
 
 /// Duplicate flows (identical endpoints) share links with themselves;
@@ -112,28 +114,30 @@ fn duplicate_flows_c3_both_scalars() {
         vec![2, 2, 1, 1],
         vec![1, 1, 1, 2],
     ];
-    assert_compiled_matches_fresh::<Rational>(&clos, &raw, &assignments);
-    assert_compiled_matches_fresh::<TotalF64>(&clos, &raw, &assignments);
+    let flows = clos_flows(&clos, &raw);
+    assert_compiled_matches_fresh::<Rational, _>(&clos, &flows, &assignments);
+    assert_compiled_matches_fresh::<TotalF64, _>(&clos, &flows, &assignments);
 }
 
-/// Flow endpoints as `(src_tor, src_host, dst_tor, dst_host)` tuples.
+/// Flow endpoints as `(src_group, src_host, dst_group, dst_host)` tuples.
 type FlowTuples = Vec<(usize, usize, usize, usize)>;
 
-/// A random flow collection on `C_n` plus a batch of random assignments
-/// for it, encoded as index tuples so proptest can shrink them.
+/// A random collection of flows between `groups` groups of `hosts`
+/// hosts each, plus a batch of random assignments to `classes` routing
+/// classes, encoded as index tuples so proptest can shrink them.
 fn flows_and_assignments(
-    n: usize,
+    groups: usize,
+    hosts: usize,
+    classes: usize,
     max_flows: usize,
     batch: usize,
 ) -> impl Strategy<Value = (FlowTuples, Vec<Vec<usize>>)> {
-    let tor = 2 * n;
-    let host = n;
-    let flow = (0..tor, 0..host, 0..tor, 0..host);
+    let flow = (0..groups, 0..hosts, 0..groups, 0..hosts);
     prop::collection::vec(flow, 1..=max_flows).prop_flat_map(move |flows| {
         let len = flows.len();
         (
             Just(flows),
-            prop::collection::vec(prop::collection::vec(0..n, len..=len), 1..=batch),
+            prop::collection::vec(prop::collection::vec(0..classes, len..=len), 1..=batch),
         )
     })
 }
@@ -145,19 +149,21 @@ proptest! {
     /// scratch carried across a whole batch of assignments.
     #[test]
     fn compiled_equals_fresh_rational_c2(
-        (raw, assignments) in flows_and_assignments(2, 10, 6),
+        (raw, assignments) in flows_and_assignments(4, 2, 2, 10, 6),
     ) {
         let clos = ClosNetwork::standard(2);
-        assert_compiled_matches_fresh::<Rational>(&clos, &raw, &assignments);
+        let flows = clos_flows(&clos, &raw);
+        assert_compiled_matches_fresh::<Rational, _>(&clos, &flows, &assignments);
     }
 
     /// Same on the larger C_3 fabric.
     #[test]
     fn compiled_equals_fresh_rational_c3(
-        (raw, assignments) in flows_and_assignments(3, 12, 4),
+        (raw, assignments) in flows_and_assignments(6, 3, 3, 12, 4),
     ) {
         let clos = ClosNetwork::standard(3);
-        assert_compiled_matches_fresh::<Rational>(&clos, &raw, &assignments);
+        let flows = clos_flows(&clos, &raw);
+        assert_compiled_matches_fresh::<Rational, _>(&clos, &flows, &assignments);
     }
 
     /// Bit-exact `TotalF64` equivalence: the compiled pipeline performs
@@ -165,9 +171,66 @@ proptest! {
     /// wrapper, so even rounding is identical.
     #[test]
     fn compiled_equals_fresh_total_f64(
-        (raw, assignments) in flows_and_assignments(3, 10, 6),
+        (raw, assignments) in flows_and_assignments(6, 3, 3, 10, 6),
     ) {
         let clos = ClosNetwork::standard(3);
-        assert_compiled_matches_fresh::<TotalF64>(&clos, &raw, &assignments);
+        let flows = clos_flows(&clos, &raw);
+        assert_compiled_matches_fresh::<TotalF64, _>(&clos, &flows, &assignments);
+    }
+
+    /// Idle-link skipping: flows confined to one pod of a k=8 fat-tree
+    /// at 2:1 touch at most 6 links each of the 768 compiled, and the
+    /// oversubscribed edge layer saturates before the host and core
+    /// links, so links drain at different rounds. Both scalars must
+    /// still match the fresh run, and the exact rates must be the
+    /// unique max-min fair allocation (checked against the independent
+    /// unit-weight allocator and the bottleneck property).
+    #[test]
+    fn compiled_equals_fresh_fat_tree_pod(
+        pod in 0..8usize,
+        (raw, assignments) in flows_and_assignments(4, 4, 16, 12, 4),
+    ) {
+        let ft = FatTree::new(8, Rational::TWO);
+        let flows: Vec<Flow> = raw
+            .iter()
+            .map(|&(se, sh, de, dh)| {
+                Flow::new(ft.source(pod * 4 + se, sh), ft.destination(pod * 4 + de, dh))
+            })
+            .collect();
+        assert_compiled_matches_fresh::<Rational, _>(&ft, &flows, &assignments);
+        assert_compiled_matches_fresh::<TotalF64, _>(&ft, &flows, &assignments);
+        let net = ft.network();
+        let ones = vec![Rational::ONE; flows.len()];
+        for classes in &assignments {
+            let routing = route(&ft, &flows, classes);
+            let (fresh, trace) = max_min_fair_traced::<Rational>(net, &flows, &routing).unwrap();
+            let weighted = max_min_fair_weighted(net, &flows, &routing, &ones).unwrap();
+            prop_assert_eq!(fresh.rates(), weighted.rates());
+            prop_assert!(
+                verify_bottleneck_property(net, &flows, &routing, &fresh, Rational::ZERO).is_ok()
+            );
+            // The traced bottleneck is the first link in network order
+            // that is saturated and on which the flow's rate is maximal.
+            let loads = link_loads(net, &flows, &routing, &fresh);
+            for (i, path) in routing.paths().iter().enumerate() {
+                let rate = fresh.rates()[i];
+                let first = path
+                    .links()
+                    .iter()
+                    .copied()
+                    .filter(|&l| {
+                        let saturated = net.link(l).capacity().finite()
+                            == Some(loads[l.index()]);
+                        let maximal = routing
+                            .paths()
+                            .iter()
+                            .zip(fresh.rates())
+                            .all(|(p, &r)| r <= rate || !p.links().contains(&l));
+                        saturated && maximal
+                    })
+                    .min();
+                prop_assert_eq!(Some(trace.bottleneck_of[i]), first);
+            }
+        }
     }
 }

@@ -4,11 +4,17 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Per-call sequence number: the tests run in parallel in one process,
+/// so the pid alone would hand two tests the same fixture path.
+static TEMP_SEQ: AtomicUsize = AtomicUsize::new(0);
 
 fn temp_path(name: &str) -> PathBuf {
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let mut p = std::env::temp_dir();
     p.push(format!(
-        "clos_trace_observatory_{}_{name}",
+        "clos_trace_observatory_{}_{seq}_{name}",
         std::process::id()
     ));
     p
