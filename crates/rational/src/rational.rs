@@ -16,13 +16,25 @@ use std::str::FromStr;
 ///
 /// # Overflow
 ///
-/// All arithmetic is overflow-checked internally. Intermediate products are
-/// computed after cross-reduction by greatest common divisors, which keeps
-/// magnitudes as small as mathematically possible; if a result still cannot
-/// be represented the operation panics rather than silently wrapping. The
-/// allocations produced by water-filling over unit-capacity Clos networks
-/// have numerators and denominators far below `i128::MAX`, so overflow only
-/// indicates a logic error upstream.
+/// Arithmetic is exact or it fails: the `checked_*` methods return `None`
+/// when a result cannot be represented and the operators panic, in debug
+/// and release builds alike; nothing wraps. Comparison never fails.
+///
+/// The operations are cheap on the small operands water-filling produces.
+/// When every component of both operands is below 2^31 in magnitude,
+/// `+`, `-`, `*`, `/` and [`Ord::cmp`] compute in `i64` — each
+/// cross-product is then below 2^62 and the sum of two below 2^63, so
+/// nothing can overflow — and reduce with a binary gcd in `u64`. Equal
+/// denominators skip the cross-products: addition sums the numerators and
+/// comparison compares them. Larger operands take the general path:
+/// products in `i128` after cross-reduction by greatest common divisors,
+/// which keeps magnitudes as small as the exact result allows, and a
+/// binary gcd that drops to `u64` as soon as both operands fit. When even
+/// the `i128` cross-products of a comparison overflow, it decides by sign
+/// and then by continued fractions (integer parts, then the reciprocals
+/// of the fractional parts), which only divides. The allocations of
+/// unit-capacity Clos networks stay far below `i128::MAX`, so an
+/// arithmetic overflow indicates a logic error upstream.
 ///
 /// # Examples
 ///
@@ -75,15 +87,94 @@ impl fmt::Display for ParseRationalError {
 
 impl Error for ParseRationalError {}
 
-const fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+/// Components of magnitude below this bound take the `i64` fast paths:
+/// with `|x| < 2^31` every cross-product is below `2^62` and the sum of two
+/// is below `2^63`, so neither wraps.
+const SMALL: u128 = 1 << 31;
+
+/// Whether every component of `a` and `b` is below [`SMALL`].
+fn small(a: Rational, b: Rational) -> bool {
+    (a.num.unsigned_abs() | a.den as u128 | b.num.unsigned_abs() | b.den as u128) < SMALL
+}
+
+/// Binary (Stein) gcd; `gcd(0, 0) == 0`.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
     }
-    a
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// Binary gcd on `u128`, finishing in [`gcd_u64`] as soon as both operands
+/// fit; `gcd(0, 0) == 0`.
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a | b <= u128::from(u64::MAX) {
+            return u128::from(gcd_u64(a as u64, b as u64)) << shift;
+        }
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `num/den` in lowest terms (`den > 0`).
+fn reduce(num: u128, den: u128) -> (u128, u128) {
+    if den == 1 {
+        return (num, 1);
+    }
+    if num | den <= u128::from(u64::MAX) {
+        let (n, d) = (num as u64, den as u64);
+        let g = gcd_u64(n, d);
+        return if g == 1 {
+            (num, den)
+        } else {
+            (u128::from(n / g), u128::from(d / g))
+        };
+    }
+    let g = gcd(num, den);
+    (num / g, den / g)
+}
+
+/// Compares `n1/d1` with `n2/d2` (denominators positive) by continued
+/// fractions: integer parts first, then the fractional remainders through
+/// their reciprocals. Every step divides, so nothing can overflow.
+fn cmp_magnitudes(mut n1: u128, mut d1: u128, mut n2: u128, mut d2: u128) -> Ordering {
+    loop {
+        let (q1, r1) = (n1 / d1, n1 % d1);
+        let (q2, r2) = (n2 / d2, n2 % d2);
+        if q1 != q2 {
+            return q1.cmp(&q2);
+        }
+        match (r1 == 0, r2 == 0) {
+            (true, true) => return Ordering::Equal,
+            (true, false) => return Ordering::Less,
+            (false, true) => return Ordering::Greater,
+            // r1/d1 ? r2/d2  <=>  d2/r2 ? d1/r1.
+            (false, false) => (n1, d1, n2, d2) = (d2, r2, d1, r1),
+        }
+    }
 }
 
 impl Rational {
@@ -99,8 +190,9 @@ impl Rational {
     ///
     /// # Panics
     ///
-    /// Panics if `den == 0`, or if `num == i128::MIN` and normalization would
-    /// overflow.
+    /// Panics if `den == 0`, or if the canonical form does not fit `i128`:
+    /// only `i128::MIN` can cause that, as `new(i128::MIN, -1)` or as an odd
+    /// `num` over `den == i128::MIN`.
     ///
     /// # Examples
     ///
@@ -113,13 +205,32 @@ impl Rational {
     #[must_use]
     pub fn new(num: i128, den: i128) -> Rational {
         assert!(den != 0, "rational denominator must be nonzero");
-        let g = gcd(num, den);
-        let (mut num, mut den) = if g == 0 { (0, 1) } else { (num / g, den / g) };
-        if den < 0 {
-            num = num.checked_neg().expect("rational normalization overflow");
-            den = den.checked_neg().expect("rational normalization overflow");
+        let (n, d) = reduce(num.unsigned_abs(), den.unsigned_abs());
+        Rational::from_parts((num < 0) != (den < 0), n, d).expect("rational normalization overflow")
+    }
+
+    /// The rational `±num/den` from coprime magnitudes (`den > 0`), or
+    /// `None` when a component does not fit `i128`.
+    fn from_parts(negative: bool, num: u128, den: u128) -> Option<Rational> {
+        let num = if negative {
+            0i128.checked_sub_unsigned(num)?
+        } else {
+            i128::try_from(num).ok()?
+        };
+        let den = i128::try_from(den).ok()?;
+        Some(Rational { num, den })
+    }
+
+    /// The canonical form of `num/den` for `den > 0`. Reducing only shrinks
+    /// magnitudes, so it always fits; the one magnitude `i128` cannot hold,
+    /// 2^127 from `num == i128::MIN`, wraps back to `i128::MIN` on negation.
+    fn reduced(num: i128, den: i128) -> Rational {
+        let (n, d) = reduce(num.unsigned_abs(), den as u128);
+        let n = n as i128;
+        Rational {
+            num: if num < 0 { n.wrapping_neg() } else { n },
+            den: d as i128,
         }
-        Rational { num, den }
     }
 
     /// Creates a rational representing the integer `value`.
@@ -241,16 +352,27 @@ impl Rational {
     /// Checked addition; returns `None` on overflow.
     #[must_use]
     pub fn checked_add(self, rhs: Rational) -> Option<Rational> {
+        if self.den == rhs.den {
+            return Some(Rational::reduced(self.num.checked_add(rhs.num)?, self.den));
+        }
+        if small(self, rhs) {
+            let (a, b, c, d) = (
+                self.num as i64,
+                self.den as i64,
+                rhs.num as i64,
+                rhs.den as i64,
+            );
+            return Some(Rational::reduced((a * d + c * b).into(), (b * d).into()));
+        }
         // a/b + c/d = (a*(d/g) + c*(b/g)) / (b/g*d) with g = gcd(b, d).
-        let g = gcd(self.den, rhs.den);
+        let g = gcd(self.den as u128, rhs.den as u128) as i128;
         let lhs_scale = rhs.den / g;
         let rhs_scale = self.den / g;
         let num = self
             .num
             .checked_mul(lhs_scale)?
             .checked_add(rhs.num.checked_mul(rhs_scale)?)?;
-        let den = self.den.checked_mul(lhs_scale)?;
-        Some(Rational::new(num, den))
+        Some(Rational::reduced(num, self.den.checked_mul(lhs_scale)?))
     }
 
     /// Checked subtraction; returns `None` on overflow.
@@ -265,12 +387,18 @@ impl Rational {
     /// Checked multiplication; returns `None` on overflow.
     #[must_use]
     pub fn checked_mul(self, rhs: Rational) -> Option<Rational> {
-        // Cross-reduce before multiplying to keep magnitudes minimal.
-        let g1 = gcd(self.num, rhs.den);
-        let g2 = gcd(rhs.num, self.den);
-        let num = (self.num / g1).checked_mul(rhs.num / g2)?;
-        let den = (self.den / g2).checked_mul(rhs.den / g1)?;
-        Some(Rational::new(num, den))
+        if small(self, rhs) {
+            let num = self.num as i64 * rhs.num as i64;
+            return Some(Rational::reduced(
+                num.into(),
+                (self.den as i64 * rhs.den as i64).into(),
+            ));
+        }
+        Rational::mul_parts(
+            (self.num < 0) != (rhs.num < 0),
+            [self.num.unsigned_abs(), self.den as u128],
+            [rhs.num.unsigned_abs(), rhs.den as u128],
+        )
     }
 
     /// Checked division; returns `None` on overflow or division by zero.
@@ -279,10 +407,29 @@ impl Rational {
         if rhs.is_zero() {
             return None;
         }
-        self.checked_mul(Rational {
-            num: rhs.den,
-            den: rhs.num,
-        })
+        if small(self, rhs) {
+            let (num, den) = (
+                self.num as i64 * rhs.den as i64,
+                self.den as i64 * rhs.num as i64,
+            );
+            let num = if den < 0 { -num } else { num };
+            return Some(Rational::reduced(num.into(), den.abs().into()));
+        }
+        Rational::mul_parts(
+            (self.num < 0) != (rhs.num < 0),
+            [self.num.unsigned_abs(), self.den as u128],
+            [rhs.den as u128, rhs.num.unsigned_abs()],
+        )
+    }
+
+    /// `±(n1/d1)·(n2/d2)` for coprime pairs. Reducing across the pairs
+    /// first leaves the product canonical and its components as small as
+    /// they can be, so `None` means the exact result does not fit.
+    fn mul_parts(negative: bool, [n1, d1]: [u128; 2], [n2, d2]: [u128; 2]) -> Option<Rational> {
+        let (g1, g2) = (gcd(n1, d2), gcd(n2, d1));
+        let num = (n1 / g1).checked_mul(n2 / g2)?;
+        let den = (d1 / g2).checked_mul(d2 / g1)?;
+        Rational::from_parts(negative, num, den)
     }
 
     /// Converts to the nearest `f64`.
@@ -433,19 +580,24 @@ impl PartialOrd for Rational {
 impl Ord for Rational {
     fn cmp(&self, other: &Rational) -> Ordering {
         // a/b ? c/d  <=>  a*d ? c*b  (denominators positive).
-        // Cross-reduce to avoid overflow in the common same-denominator case.
-        let g_den = gcd(self.den, other.den);
-        let lhs = self.num.checked_mul(other.den / g_den);
-        let rhs = other.num.checked_mul(self.den / g_den);
-        match (lhs, rhs) {
-            (Some(l), Some(r)) => l.cmp(&r),
-            // Extremely large operands: fall back to exact subtraction
-            // (which cross-reduces further) and compare the sign.
-            _ => {
-                let diff = self
-                    .checked_sub(*other)
-                    .expect("rational comparison overflow");
-                diff.num.cmp(&0)
+        let (a, b, c, d) = (self.num, self.den, other.num, other.den);
+        if b == d {
+            return a.cmp(&c);
+        }
+        if small(*self, *other) {
+            return (a as i64 * d as i64).cmp(&(c as i64 * b as i64));
+        }
+        if let (Some(l), Some(r)) = (a.checked_mul(d), c.checked_mul(b)) {
+            return l.cmp(&r);
+        }
+        // Cross-products overflow: decide by sign, then compare magnitudes
+        // by continued fractions, which never overflows.
+        match (a < 0, c < 0) {
+            (false, true) => Ordering::Greater,
+            (true, false) => Ordering::Less,
+            (false, false) => cmp_magnitudes(a as u128, b as u128, c as u128, d as u128),
+            (true, true) => {
+                cmp_magnitudes(c.unsigned_abs(), d as u128, a.unsigned_abs(), b as u128)
             }
         }
     }
@@ -619,6 +771,60 @@ mod tests {
         let b = Rational::new(100_000_000_000_000_001, 100_000_000_000_000_002);
         assert!(a < b);
         assert!(b < Rational::ONE);
+    }
+
+    #[test]
+    fn ordering_is_total_beyond_cross_product_range() {
+        // Both cross-products overflow i128; the comparison must still
+        // decide (by sign here, by continued fractions below).
+        let max = Rational::from_integer(i128::MAX);
+        let neg = Rational::new(-i128::MAX, 3);
+        assert_eq!(max.cmp(&neg), Ordering::Greater);
+        assert_eq!(neg.cmp(&max), Ordering::Less);
+        let half = Rational::new(i128::MAX, 2);
+        let third = Rational::new(i128::MAX - 2, 3);
+        assert_eq!(half.cmp(&third), Ordering::Greater);
+        assert_eq!(third.cmp(&half), Ordering::Less);
+        assert_eq!((-half).cmp(&-third), Ordering::Less);
+        assert_eq!(half.cmp(&half), Ordering::Equal);
+    }
+
+    #[test]
+    fn min_numerator_reduces_identically_in_every_profile() {
+        let r = Rational::new(i128::MIN, 2);
+        assert_eq!((r.numerator(), r.denominator()), (-(1 << 126), 1));
+        assert_eq!(Rational::new(2, i128::MIN), Rational::new(-1, 1 << 126));
+        assert_eq!(gcd(i128::MIN.unsigned_abs(), 1 << 100), 1 << 100);
+    }
+
+    #[test]
+    fn binary_gcd_matches_euclid() {
+        fn euclid(mut a: u128, mut b: u128) -> u128 {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        }
+        let samples = [
+            0,
+            1,
+            2,
+            3,
+            12,
+            18,
+            1 << 31,
+            (1 << 32) + 6,
+            u128::from(u64::MAX),
+            u128::from(u64::MAX) + 1,
+            3 << 70,
+            u128::MAX - 1,
+            u128::MAX,
+        ];
+        for &a in &samples {
+            for &b in &samples {
+                assert_eq!(gcd(a, b), euclid(a, b), "gcd({a}, {b})");
+            }
+        }
     }
 
     #[test]
