@@ -29,6 +29,23 @@
 //! full-recompute oracle after every epoch, and the
 //! `incremental_oracle` proptest suite pins it over random traces.
 //!
+//! # Whole-fabric epochs
+//!
+//! When every busy link (one with live flows) will be expanded, the
+//! region is every live flow, so the closure stops early. The engine
+//! keeps a running count of busy links; the closure counts the links it
+//! will expand (the seeds with live members, plus every link it pushes)
+//! and, once that count reaches the busy count, takes the live slots in
+//! ascending order without scanning further members or sorting. The
+//! exit is exact: each live flow crosses at least one busy link, and
+//! each counted link is busy and counted once. A zero-capacity link
+//! that is not a seed is never expanded and never counted, so the exit
+//! cannot fire past a failure cut. On a single-component fabric (a
+//! 3-stage Clos under uniform traffic) a large batch's seeds alone
+//! cover every busy link; pod-local traffic on a fat-tree never fires
+//! it and keeps its region reuse. With `verify` set, every epoch also
+//! re-runs the closure without the exit and asserts the same slots.
+//!
 //! Because routing, slot assignment, and link bookkeeping all happen at
 //! *apply* time (they are pure functions of the event prefix), the
 //! engine's state after `apply`ing a prefix and [`flush`]ing is
@@ -182,6 +199,8 @@ pub struct ChurnEngine<S, F: Fabric = ClosNetwork> {
     /// Live-flow count per dense link (every link of a live flow's
     /// path counts; the policy reads interior links only).
     live_count: Vec<u32>,
+    /// Number of *busy* links (`live_count > 0`).
+    busy_links: usize,
     live: usize,
 
     dirty: Vec<bool>,
@@ -228,6 +247,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             slot_of_key: Vec::new(),
             members: vec![Vec::new(); links],
             live_count: vec![0; links],
+            busy_links: 0,
             live: 0,
             dirty: vec![false; links],
             dirty_list: Vec::new(),
@@ -364,6 +384,9 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             let p = self.members[d].len() as u32;
             self.members[d].push(slot);
             self.slot_pos[base + i] = p;
+            if self.live_count[d] == 0 {
+                self.busy_links += 1;
+            }
             self.live_count[d] += 1;
             self.mark_dirty(d);
         }
@@ -396,6 +419,9 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             let d = self.slot_links[base + i] as usize;
             let p = self.slot_pos[base + i] as usize;
             self.live_count[d] -= 1;
+            if self.live_count[d] == 0 {
+                self.busy_links -= 1;
+            }
             let list = &mut self.members[d];
             let Some(last) = list.pop() else {
                 unreachable!("member list of a live flow's link cannot be empty")
@@ -446,55 +472,25 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         self.stats.epochs += 1;
         self.stats.dirty_links += self.dirty_list.len() as u64;
 
-        // Close the dirty links under flow↔link incidence: every flow on
-        // a region link joins the region along with all of its links, so
-        // the region covers whole connected components and a run over
-        // just the affected flows is exact (see the module docs).
-        self.slot_mark.resize(self.slots.len(), false);
-        self.affected.clear();
-        self.link_stack.clear();
-        self.link_stack.extend_from_slice(&self.dirty_list);
-        while let Some(d) = self.link_stack.pop() {
-            for idx in 0..self.members[d].len() {
-                let slot = self.members[d][idx];
-                if self.slot_mark[slot as usize] {
-                    continue;
-                }
-                self.slot_mark[slot as usize] = true;
-                self.affected.push(slot);
-                let base = slot as usize * self.stride;
-                let plen = self.slots[slot as usize].len as usize;
-                for j in 0..plen {
-                    let l = self.slot_links[base + j] as usize;
-                    if !self.dirty[l] {
-                        self.dirty[l] = true;
-                        // A zero-capacity (failed) link joins the
-                        // region but does not propagate: it pins every
-                        // member at rate zero, so the components it
-                        // bridges are independent beyond it. Seeds from
-                        // `dirty_list` still expand unconditionally,
-                        // which is exactly what recomputes a dying
-                        // link's members to zero in the epoch after
-                        // `apply_failure`.
-                        if !self.instance.capacity(l).is_zero() {
-                            self.link_stack.push(l);
-                        }
-                    }
-                }
+        self.close_region(true);
+        if self.cfg.verify {
+            // Check the shortcut, don't trust it: the closure without the
+            // whole-fabric exit must select the very same slots.
+            let shortcut = std::mem::take(&mut self.affected);
+            for &d in &self.dirty_list {
+                self.dirty[d] = true;
             }
+            self.close_region(false);
+            assert!(
+                self.affected == shortcut,
+                "whole-fabric shortcut diverged from the full closure"
+            );
         }
-        // `dirty` currently marks exactly the region; clearing the whole
-        // O(links) array is cheaper than revisiting the affected flows.
-        self.dirty.fill(false);
         self.dirty_list.clear();
-        // Recompute affected flows in ascending slot order — the same
-        // relative order a full run over all live slots would use.
-        self.affected.sort_unstable();
 
         self.scratch.begin();
         for idx in 0..self.affected.len() {
             let slot = self.affected[idx] as usize;
-            self.slot_mark[slot] = false;
             let base = slot * self.stride;
             let plen = self.slots[slot].len as usize;
             self.flow_links.clear();
@@ -521,6 +517,85 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
 
         if self.cfg.verify {
             self.check_against_oracle();
+        }
+    }
+
+    /// Closes the dirty links under flow↔link incidence, leaving the
+    /// region's slots in `affected` in ascending slot order — the same
+    /// relative order a full run over all live slots would use. Every
+    /// flow on an expanded link joins the region along with all of its
+    /// links, so the region covers whole connected components and a run
+    /// over just the affected flows is exact (see the module docs).
+    ///
+    /// On entry `dirty` marks exactly `dirty_list` and `slot_mark` is
+    /// clear; on exit both are clear. With `whole_fabric_exit` the
+    /// search stops as soon as the links it will expand cover every
+    /// busy link: each live flow crosses one of them, so the region is
+    /// then every live slot, taken in slot order without a sort.
+    fn close_region(&mut self, whole_fabric_exit: bool) {
+        self.slot_mark.resize(self.slots.len(), false);
+        self.affected.clear();
+        self.link_stack.clear();
+        // Links the closure will expand: seeds with live members, plus
+        // every link pushed below. A pushed link carries the live flow
+        // that reached it, so each counted link is busy and counted once.
+        let mut expanded = self
+            .dirty_list
+            .iter()
+            .filter(|&&d| self.live_count[d] > 0)
+            .count();
+        let mut whole = whole_fabric_exit && expanded == self.busy_links;
+        if !whole {
+            self.link_stack.extend_from_slice(&self.dirty_list);
+        }
+        'closure: while let Some(d) = self.link_stack.pop() {
+            for idx in 0..self.members[d].len() {
+                let slot = self.members[d][idx];
+                if self.slot_mark[slot as usize] {
+                    continue;
+                }
+                self.slot_mark[slot as usize] = true;
+                self.affected.push(slot);
+                let base = slot as usize * self.stride;
+                let plen = self.slots[slot as usize].len as usize;
+                for j in 0..plen {
+                    let l = self.slot_links[base + j] as usize;
+                    if !self.dirty[l] {
+                        self.dirty[l] = true;
+                        // A zero-capacity (failed) link joins the
+                        // region but does not propagate: it pins every
+                        // member at rate zero, so the components it
+                        // bridges are independent beyond it. Seeds from
+                        // `dirty_list` still expand unconditionally,
+                        // which is exactly what recomputes a dying
+                        // link's members to zero in the epoch after
+                        // `apply_failure`. Such a link is busy but never
+                        // counted, so the exit cannot fire past it.
+                        if !self.instance.capacity(l).is_zero() {
+                            self.link_stack.push(l);
+                            expanded += 1;
+                            if whole_fabric_exit && expanded == self.busy_links {
+                                whole = true;
+                                break 'closure;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // `dirty` marks the region (or a prefix of it); clearing the
+        // whole O(links) array is cheaper than revisiting the flows.
+        self.dirty.fill(false);
+        for &slot in &self.affected {
+            self.slot_mark[slot as usize] = false;
+        }
+        if whole {
+            self.affected.clear();
+            let slots = &self.slots;
+            self.affected
+                .extend((0..slots.len() as u32).filter(|&s| slots[s as usize].live));
+        } else {
+            self.affected.sort_unstable();
         }
     }
 
@@ -853,6 +928,14 @@ mod tests {
         )
     }
 
+    /// Applies the arrival of `key` from source host `src` to
+    /// destination host `dst`, each given as `(tor, host)`.
+    fn arrive(e: &mut ChurnEngine<Rational>, key: u64, src: (usize, usize), dst: (usize, usize)) {
+        let clos = e.fabric();
+        let flow = Flow::new(clos.source(src.0, src.1), clos.destination(dst.0, dst.1));
+        e.apply(FlowEvent::Arrive { key, flow });
+    }
+
     #[test]
     fn single_flow_gets_full_rate_and_departs_cleanly() {
         let mut e = engine(2, 1, true);
@@ -1018,5 +1101,147 @@ mod tests {
     fn unknown_departure_panics() {
         let mut e = engine(2, 100, false);
         e.apply(FlowEvent::Depart { key: 5 });
+    }
+
+    /// A dead link bounds the region: the zero-capacity cut keeps a flow
+    /// that meets an event only through a dead middle out of the
+    /// recompute, and the whole-fabric shortcut never fires past it (a
+    /// dead link that is not a seed is busy but never expanded). The
+    /// stats are the full closure's, recorded before the shortcut
+    /// existed; `verify` re-runs the closure without it every epoch.
+    #[test]
+    fn dead_link_bounds_the_region_and_the_shortcut() {
+        use clos_net::{FailureEvent, FailureSchedule};
+        let mut e = engine(2, 1, true);
+        let clos = e.fabric().clone();
+        // Greedy placement: keys 0 and 2 share only the uplink of ToR 0
+        // to middle 0; key 1 shares key 2's source host link.
+        arrive(&mut e, 0, (0, 0), (1, 0));
+        arrive(&mut e, 1, (0, 1), (2, 0));
+        arrive(&mut e, 2, (0, 1), (3, 0));
+        assert_eq!(e.class_of(0), Some(0));
+        assert_eq!(e.class_of(1), Some(1));
+        assert_eq!(e.class_of(2), Some(0));
+        let schedule = FailureSchedule::new(vec![FailureEvent::RemoveMiddle { middle: 0 }]);
+        e.apply_failure(&schedule.overlay_at(&clos, 1));
+        e.flush();
+        assert_eq!(e.rate(0), Some(Rational::ZERO));
+        assert_eq!(e.rate(2), Some(Rational::ZERO));
+        let before = e.stats();
+        // Key 3 shares key 0's destination host link; key 2 is reachable
+        // from it only through the dead uplink, so it is reused.
+        arrive(&mut e, 3, (1, 0), (1, 0));
+        let after = e.stats();
+        assert_eq!(after.recomputed_flows - before.recomputed_flows, 2);
+        assert_eq!(after.reused_flows - before.reused_flows, 2);
+        // Key 1 leaves through key 2's source host link; the region
+        // stops at key 2's dead links.
+        e.apply(FlowEvent::Depart { key: 1 });
+        let stats = e.stats();
+        assert_eq!(
+            (stats.epochs, stats.recomputed_flows, stats.reused_flows),
+            (6, 11, 5)
+        );
+    }
+
+    /// Batches large enough that their dirty links cover every busy
+    /// link: the shortcut fires before any member scan, every epoch
+    /// recomputes the whole live set, and `verify` (which also re-runs
+    /// the closure without the shortcut) passes. The stats are the full
+    /// closure's, recorded before the shortcut existed.
+    #[test]
+    fn batch_covering_every_busy_link_recomputes_everything() {
+        let clos = ClosNetwork::standard(2);
+        let cfg = crate::trace::TraceConfig {
+            arrival_rate_per_sec: 1_000_000,
+            lifetime: crate::trace::SizeDist::Exponential { mean_ns: 20_000 },
+            pattern: crate::trace::Pattern::Uniform,
+            events: 400,
+            seed: 5,
+        };
+        let mut e = ChurnEngine::<Rational>::new(
+            clos.clone(),
+            OnlinePolicy::greedy(),
+            ChurnConfig {
+                batch: usize::MAX,
+                verify: true,
+            },
+        );
+        for (i, t) in crate::trace::TraceGenerator::new(&clos, &cfg).enumerate() {
+            e.apply(t.event);
+            if (i + 1) % 100 == 0 {
+                let seeds_cover_busy =
+                    (0..e.live_count.len()).all(|d| e.live_count[d] == 0 || e.dirty[d]);
+                assert!(seeds_cover_busy, "epoch {} seeds miss a busy link", i / 100);
+                assert!(e.busy_links > 0);
+                e.flush();
+            }
+        }
+        let stats = e.stats();
+        assert_eq!(stats.events, 400);
+        assert_eq!(
+            (stats.epochs, stats.recomputed_flows, stats.reused_flows),
+            (4, 76, 0)
+        );
+    }
+
+    /// The exit's exactness edge: a flow whose every link is dead sits
+    /// on busy links that the closure marks (through other flows) but
+    /// never expands, so it stays outside the region. Were dead links
+    /// counted as expanded, the shortcut would fire here and pull it in.
+    /// The stats are the full closure's, recorded before the shortcut
+    /// existed; `verify` re-runs the closure without it every epoch.
+    #[test]
+    fn flow_on_dead_links_only_stays_outside_the_region() {
+        use clos_net::{Capacity, FailureEvent, FailureSchedule};
+        let mut e = engine(2, 1, true);
+        let clos = e.fabric().clone();
+        // Key 0 is the flow on dead links only. Key 1 shares its source
+        // host link, key 2 its destination host link, key 3 its uplink
+        // and key 4 its downlink.
+        arrive(&mut e, 0, (0, 0), (1, 0));
+        arrive(&mut e, 1, (0, 0), (2, 0));
+        arrive(&mut e, 2, (2, 0), (1, 0));
+        arrive(&mut e, 3, (0, 1), (3, 0));
+        arrive(&mut e, 4, (3, 0), (1, 1));
+        let classes: Vec<_> = (0..5).map(|k| e.class_of(k)).collect();
+        assert_eq!(classes, [Some(0), Some(1), Some(1), Some(0), Some(0)]);
+        let mut overlay = FailureSchedule::new(vec![FailureEvent::RemoveMiddle { middle: 0 }])
+            .overlay_at(&clos, 1);
+        let dead = Capacity::finite_value(Rational::ZERO);
+        overlay.insert(clos.host_uplink(0, 0), dead);
+        overlay.insert(clos.host_downlink(1, 0), dead);
+        e.apply_failure(&overlay);
+        e.flush();
+        // Every flow crosses a dead link now.
+        assert!((0..5).all(|k| e.rate(k) == Some(Rational::ZERO)));
+        // Halve every surviving busy link: the seeds reach keys 1-4,
+        // which mark all of key 0's dead links without expanding them.
+        let half = Capacity::finite_value(Rational::new(1, 2));
+        let mut degrade = clos_net::CapacityMap::new();
+        for link in [
+            clos.uplink(0, 1),
+            clos.downlink(1, 2),
+            clos.host_downlink(2, 0),
+            clos.host_uplink(2, 0),
+            clos.uplink(2, 1),
+            clos.downlink(1, 1),
+            clos.host_uplink(0, 1),
+            clos.host_downlink(3, 0),
+            clos.host_uplink(3, 0),
+            clos.host_downlink(1, 1),
+        ] {
+            degrade.insert(link, half);
+        }
+        let before = e.stats();
+        e.apply_failure(&degrade);
+        e.flush();
+        let after = e.stats();
+        assert_eq!(after.recomputed_flows - before.recomputed_flows, 4);
+        assert_eq!(after.reused_flows - before.reused_flows, 1);
+        assert_eq!(
+            (after.epochs, after.recomputed_flows, after.reused_flows),
+            (7, 24, 1)
+        );
     }
 }

@@ -37,6 +37,20 @@
 //! and freeze scans visit links exactly as a scan over every link would,
 //! and rates, levels, and bottlenecks are unchanged bit for bit.
 //!
+//! # 32-bit index tables
+//!
+//! The scratch's CSR tables — each flow's dense links (`flow_links`,
+//! `flow_starts`) and each link's member flows (`members`,
+//! `member_starts`, plus the counting sort's `cursor`) — hold `u32`
+//! indices. At churn scale (10⁵ flows) a round is bound by random
+//! reads of these tables, and half-width entries halve the memory they
+//! pull through the cache. The bound is enforced where indices enter:
+//! [`WaterfillScratch::push_flow`] panics rather than truncate once a
+//! link index, the flow count, or the number of link entries exceeds
+//! `u32::MAX`. The public API keeps `usize` (`push_flow` takes
+//! `&[usize]`, [`WaterfillScratch::bottlenecks`] returns `&[usize]`) and
+//! the arithmetic is unchanged.
+//!
 //! # The scratch-reuse contract
 //!
 //! Between `run`s the scratch may only be refilled via
@@ -179,11 +193,13 @@ impl<S: Scalar> WaterfillInstance<S> {
         let links = self.capacities.len();
 
         // Per-link member lists, rebuilt by counting sort into one flat
-        // buffer: count occurrences, prefix-sum into starts, then fill.
+        // `u32` buffer: count occurrences, prefix-sum into starts, then
+        // fill. Every position and flow index fits in `u32` because
+        // `push_flow` checked the description's size on entry.
         s.active_count.clear();
         s.active_count.resize(links, 0);
         for &d in &s.flow_links {
-            s.active_count[d] += 1;
+            s.active_count[d as usize] += 1;
         }
         s.member_starts.clear();
         s.member_starts.reserve(links + 1);
@@ -196,7 +212,7 @@ impl<S: Scalar> WaterfillInstance<S> {
         let mut total = 0usize;
         for (d, &c) in s.active_count.iter().enumerate() {
             total += c;
-            s.member_starts.push(total);
+            s.member_starts.push(total as u32);
             if c > 0 {
                 s.active_links.push(d);
             }
@@ -206,9 +222,9 @@ impl<S: Scalar> WaterfillInstance<S> {
         s.members.clear();
         s.members.resize(total, 0);
         for i in 0..flows {
-            for k in s.flow_starts[i]..s.flow_starts[i + 1] {
-                let d = s.flow_links[k];
-                s.members[s.cursor[d]] = i;
+            for k in s.flow_starts[i] as usize..s.flow_starts[i + 1] as usize {
+                let d = s.flow_links[k] as usize;
+                s.members[s.cursor[d] as usize] = i as u32;
                 s.cursor[d] += 1;
             }
         }
@@ -262,8 +278,8 @@ impl<S: Scalar> WaterfillInstance<S> {
             for &d in &s.active_links {
                 if s.link_level[d] == level {
                     counters::WATERFILL_SATURATIONS.incr();
-                    for k in s.member_starts[d]..s.member_starts[d + 1] {
-                        let f = s.members[k];
+                    for k in s.member_starts[d] as usize..s.member_starts[d + 1] as usize {
+                        let f = s.members[k] as usize;
                         if !s.frozen[f] {
                             s.frozen[f] = true;
                             s.rates[f] = level;
@@ -278,8 +294,8 @@ impl<S: Scalar> WaterfillInstance<S> {
             s.levels.push(level);
             for i in 0..s.newly_frozen.len() {
                 let f = s.newly_frozen[i];
-                for k in s.flow_starts[f]..s.flow_starts[f + 1] {
-                    let d = s.flow_links[k];
+                for k in s.flow_starts[f] as usize..s.flow_starts[f + 1] as usize {
+                    let d = s.flow_links[k] as usize;
                     s.active_count[d] -= 1;
                     s.frozen_load[d] += level;
                     s.stale[d] = true;
@@ -312,17 +328,20 @@ fn saturation_level<S: Scalar>(cap: S, frozen_load: S, active: usize) -> S {
 pub struct WaterfillScratch<S> {
     /// Dense link indices of every flow, concatenated (a CSR layout with
     /// `flow_starts`). Duplicate entries count double, exactly like a
-    /// path crossing the same link twice.
-    flow_links: Vec<usize>,
+    /// path crossing the same link twice. This and the next four tables
+    /// are `u32`; `push_flow` checks that every entry fits.
+    flow_links: Vec<u32>,
     /// `flow_links[flow_starts[i]..flow_starts[i + 1]]` are flow `i`'s.
-    flow_starts: Vec<usize>,
+    flow_starts: Vec<u32>,
     /// Member flows of every link, concatenated (CSR with
-    /// `member_starts`); rebuilt each run by counting sort.
-    members: Vec<usize>,
+    /// `member_starts`); rebuilt each run by a counting sort over
+    /// `flow_links`.
+    members: Vec<u32>,
     /// `members[member_starts[d]..member_starts[d + 1]]` cross link `d`.
-    member_starts: Vec<usize>,
-    /// Per-link fill cursor for the counting sort.
-    cursor: Vec<usize>,
+    member_starts: Vec<u32>,
+    /// Per-link fill cursor for the counting sort (a position in
+    /// `members`).
+    cursor: Vec<u32>,
     /// Per-flow rate (the result).
     rates: Vec<S>,
     /// Per-flow frozen flag.
@@ -382,9 +401,20 @@ impl<S: Scalar> WaterfillScratch<S> {
 
     /// Appends the next flow, crossing the given dense link indices (from
     /// [`WaterfillInstance::dense_index`]; duplicates count double).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a link index, the flow count, or the total number of
+    /// link entries exceeds `u32::MAX` (the width of the index tables;
+    /// see the module docs).
     pub fn push_flow(&mut self, links: &[usize]) {
-        self.flow_links.extend_from_slice(links);
-        self.flow_starts.push(self.flow_links.len());
+        let index = |n: usize| {
+            u32::try_from(n).expect("waterfill index tables hold at most u32::MAX entries")
+        };
+        // The new flow's index must fit the member lists too.
+        index(self.flow_starts.len());
+        self.flow_links.extend(links.iter().map(|&d| index(d)));
+        self.flow_starts.push(index(self.flow_links.len()));
     }
 
     /// Number of flows described since the last [`Self::begin`].
@@ -534,5 +564,16 @@ mod tests {
         assert!(!scratch.last_flow_is_unbounded());
         scratch.push_flow(&[]);
         assert!(scratch.last_flow_is_unbounded());
+    }
+
+    /// A link index wider than the `u32` tables panics instead of
+    /// truncating to some other link.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "u32::MAX")]
+    fn push_flow_rejects_indices_beyond_u32() {
+        let mut scratch = WaterfillScratch::<Rational>::new();
+        scratch.begin();
+        scratch.push_flow(&[1usize << 32]);
     }
 }

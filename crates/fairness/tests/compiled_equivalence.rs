@@ -119,6 +119,98 @@ fn duplicate_flows_c3_both_scalars() {
     assert_compiled_matches_fresh::<TotalF64, _>(&clos, &flows, &assignments);
 }
 
+/// Churn scale: 8000 random flows on C_4 with seeded random classes,
+/// so every link carries about 250 members and the `u32` index tables
+/// hold 32 000 link entries. The exact rates must match a fresh run,
+/// the independent unit-weight progressive-filling loop, and the
+/// bottleneck property.
+///
+/// On unit links, random member counts would drive exact rates through
+/// denominators beyond `i128`, so each uplink's capacity is its member
+/// count over a level drawn from {120, 160, 240, 320, 480}, and every
+/// other link gets capacity 64: the uplinks bottleneck in up to five
+/// rounds and every frozen load stays within a denominator of 960. The
+/// pristine unit fabric, with dozens of rounds, runs in `TotalF64`
+/// against the bottleneck property within a tolerance.
+#[test]
+fn churn_scale_c4_matches_independent_loop() {
+    use clos_net::{Capacity, CapacityMap};
+    use rand::{Rng, SeedableRng};
+    let pristine = ClosNetwork::standard(4);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xc4);
+    let raw: FlowTuples = (0..8000)
+        .map(|_| {
+            (
+                rng.gen_range(0..8usize),
+                rng.gen_range(0..4usize),
+                rng.gen_range(0..8usize),
+                rng.gen_range(0..4usize),
+            )
+        })
+        .collect();
+    let classes: Vec<usize> = raw.iter().map(|_| rng.gen_range(0..4)).collect();
+
+    let mut uplink_members = vec![vec![0i128; 4]; 8];
+    for (&(src_tor, ..), &m) in raw.iter().zip(&classes) {
+        uplink_members[src_tor][m] += 1;
+    }
+    let mut overlay = CapacityMap::new();
+    for link in pristine.network().links() {
+        overlay.insert(
+            link.id(),
+            Capacity::finite_value(Rational::from_integer(64)),
+        );
+    }
+    for (tor, members) in uplink_members.iter().enumerate() {
+        for (m, &count) in members.iter().enumerate() {
+            assert!(count >= 100, "every uplink carries hundreds of members");
+            let level: i128 = [120, 160, 240, 320, 480][rng.gen_range(0..5usize)];
+            overlay.insert(
+                pristine.uplink(tor, m),
+                Capacity::finite_value(Rational::new(count, level)),
+            );
+        }
+    }
+    let clos = pristine.with_capacities(&overlay);
+    let flows = clos_flows(&clos, &raw);
+    assert_compiled_matches_fresh::<Rational, _>(&clos, &flows, std::slice::from_ref(&classes));
+
+    let net = clos.network();
+    let routing = route(&clos, &flows, &classes);
+    let instance = WaterfillInstance::<Rational>::compile(net);
+    let mut scratch = WaterfillScratch::new();
+    scratch.begin();
+    for path in routing.paths() {
+        let dense: Vec<usize> = path
+            .links()
+            .iter()
+            .filter_map(|&l| instance.dense_index(l))
+            .collect();
+        scratch.push_flow(&dense);
+    }
+    instance.run(&mut scratch);
+    assert!(scratch.levels().len() >= 2, "several freezing rounds");
+    let ones = vec![Rational::ONE; flows.len()];
+    let weighted = max_min_fair_weighted(net, &flows, &routing, &ones).unwrap();
+    assert_eq!(scratch.rates(), weighted.rates());
+    let compiled = clos_fairness::Allocation::from_rates(scratch.rates().to_vec());
+    assert!(verify_bottleneck_property(net, &flows, &routing, &compiled, Rational::ZERO).is_ok());
+
+    let unit_routing = route(&pristine, &flows, &classes);
+    let (unit, trace) =
+        max_min_fair_traced::<TotalF64>(pristine.network(), &flows, &unit_routing).unwrap();
+    assert!(trace.levels.len() >= 20, "dozens of freezing rounds");
+    let tolerance = TotalF64::new(1e-9);
+    assert!(verify_bottleneck_property(
+        pristine.network(),
+        &flows,
+        &unit_routing,
+        &unit,
+        tolerance
+    )
+    .is_ok());
+}
+
 /// Flow endpoints as `(src_group, src_host, dst_group, dst_host)` tuples.
 type FlowTuples = Vec<(usize, usize, usize, usize)>;
 
