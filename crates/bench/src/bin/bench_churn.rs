@@ -1,13 +1,21 @@
 //! `bench_churn` — sustained-throughput benchmark of the incremental
 //! flow-churn engine (`clos-churn`) on open-loop Poisson traces.
 //!
-//! Two standard scenarios ride the versioned `BENCH_churn.json` report:
+//! Three scenarios ride the versioned `BENCH_churn.json` report:
 //!
 //! * **c3** — `C_3` (72 fabric links) at a steady-state target of about
 //!   3×10⁴ concurrent flows over 1.5×10⁵ events;
 //! * **c4** — `C_4` (128 fabric links) at a target above 10⁵ concurrent
 //!   flows over 4×10⁵ events — the scale evidence for the ≥10⁵
-//!   sustained flow-events/sec acceptance gate (`--min-events-per-sec`).
+//!   sustained flow-events/sec acceptance gate (`--min-events-per-sec`);
+//! * **ft8** — a k = 8 fat-tree (768 links, 16 routing classes) under
+//!   pod-local traffic at about 2000 concurrent flows, flushed after
+//!   every event whatever `--batch` says. The eight pods are independent
+//!   components, so this is the row where region reuse fires and its
+//!   `reused_flows` count sits under the exact gate.
+//!
+//! `--scale both` (the default) runs the two Clos rows, `--scale all`
+//! adds ft8; the checked-in baseline is recorded with `--scale all`.
 //!
 //! Every scenario row records the engine's deterministic counters
 //! (events, arrivals, departures, epochs, peak/final concurrency,
@@ -28,23 +36,28 @@
 //! Usage:
 //!
 //! ```text
-//! bench_churn [--scale c3|c4|both] [--events N] [--batch B]
+//! bench_churn [--scale c3|c4|ft8|both|all] [--events N] [--batch B]
 //!             [--checkpoint N] [--policy ecmp|greedy|first-fit]
 //!             [--seed S] [--stable] [--out PATH] [--epochs-out PATH]
 //!             [--min-events-per-sec X]
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use clos_churn::{
-    ChurnConfig, ChurnEngine, OnlinePolicy, Pattern, SizeDist, TraceConfig, TraceGenerator,
+    ChurnConfig, ChurnEngine, FlowEvent, OnlinePolicy, Pattern, SizeDist, TraceConfig,
+    TraceGenerator,
 };
-use clos_net::ClosNetwork;
-use clos_rational::TotalF64;
+use clos_net::{ClosNetwork, Fabric, FatTree, Flow};
+use clos_rational::{Rational, TotalF64};
 use clos_telemetry::json::JsonValue;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Parsed command-line options.
 struct Options {
@@ -60,12 +73,14 @@ struct Options {
     min_events_per_sec: f64,
 }
 
-const USAGE: &str = "usage: bench_churn [--scale c3|c4|both] [--events N] [--batch B] \
+const USAGE: &str = "usage: bench_churn [--scale c3|c4|ft8|both|all] [--events N] [--batch B] \
 [--checkpoint N] [--policy P] [--seed S] [--stable] [--out PATH] [--epochs-out PATH] \
 [--min-events-per-sec X]
-  --scale SCALE            scenario set: c3, c4, or both (default both)
+  --scale SCALE            scenario set: c3, c4, ft8, both (c3 and c4, the
+                           default) or all
   --events N               override the per-scenario event count
-  --batch B                events per recompute epoch (default 2048)
+  --batch B                events per recompute epoch on c3/c4 (default 2048;
+                           ft8 always flushes after every event)
   --checkpoint N           flush and publish an epoch record every N events
                            (default 2048; used with --epochs-out)
   --policy P               online policy: ecmp, greedy, or first-fit
@@ -96,8 +111,8 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--scale" => {
                 let v = value("--scale")?;
-                if !["c3", "c4", "both"].contains(&v.as_str()) {
-                    return Err(format!("bad --scale {v} (want c3, c4, or both)"));
+                if !["c3", "c4", "ft8", "both", "all"].contains(&v.as_str()) {
+                    return Err(format!("bad --scale {v} (want c3, c4, ft8, both, or all)"));
                 }
                 opts.scale = v;
             }
@@ -157,39 +172,119 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// One churn scenario: a topology scale plus a trace sized (via
-/// Little's law, target ≈ rate × mean lifetime) for its steady-state
-/// concurrency target.
+/// The fabric a scenario churns on.
+#[derive(Clone, Copy)]
+enum Topology {
+    /// `ClosNetwork::standard(n)` under uniform traffic.
+    Clos(usize),
+    /// A 1:1 fat-tree of arity `k` under pod-local traffic.
+    FatTreePods(usize),
+}
+
+/// One churn scenario: a topology plus a trace sized (via Little's law,
+/// target ≈ rate × mean lifetime) for its steady-state concurrency
+/// target.
 struct Scenario {
     name: &'static str,
-    n: usize,
+    topology: Topology,
     /// Poisson arrival rate (flows per simulated second).
     rate: u64,
     /// Mean exponential lifetime in nanoseconds.
     mean_ns: u64,
     /// Default total event budget.
     events: usize,
+    /// Fixed events per epoch, overriding `--batch`.
+    batch: Option<usize>,
+}
+
+impl Scenario {
+    /// The size parameter recorded in the report's `n` field (the Clos
+    /// order, or the fat-tree arity).
+    fn n(&self) -> usize {
+        match self.topology {
+            Topology::Clos(n) | Topology::FatTreePods(n) => n,
+        }
+    }
 }
 
 const SCENARIOS: &[Scenario] = &[
     // ~3e4 steady-state concurrent flows on C_3.
     Scenario {
         name: "c3",
-        n: 3,
+        topology: Topology::Clos(3),
         rate: 1_000_000,
         mean_ns: 30_000_000,
         events: 150_000,
+        batch: None,
     },
     // Target 1.3e5 concurrent flows on C_4: after ~4e5 events the ramp
     // has passed 1e5 live flows (the acceptance floor).
     Scenario {
         name: "c4",
-        n: 4,
+        topology: Topology::Clos(4),
         rate: 1_000_000,
         mean_ns: 130_000_000,
         events: 400_000,
+        batch: None,
+    },
+    // ~2000 concurrent pod-local flows on a k = 8 fat-tree, one epoch
+    // per event: each epoch's region is the touched pod, so about 7/8
+    // of the live flows are reused.
+    Scenario {
+        name: "ft8",
+        topology: Topology::FatTreePods(8),
+        rate: 1_000_000,
+        mean_ns: 2_000_000,
+        events: 30_000,
+        batch: Some(1),
     },
 ];
+
+/// Open-loop Poisson trace on a fat-tree where every flow stays inside
+/// one pod: each arrival picks a pod, then a source and a destination
+/// edge switch and host inside it. Keys are dense in arrival order and
+/// departures come from a min-heap of exponential lifetimes, as in
+/// [`TraceGenerator`].
+fn pod_local_trace(
+    ft: &FatTree,
+    rate: u64,
+    mean_ns: u64,
+    events: usize,
+    seed: u64,
+) -> Vec<FlowEvent> {
+    let half = ft.arity() / 2;
+    let pods = ft.group_count() / half;
+    let hosts = ft.hosts_per_group();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let exponential = |rng: &mut StdRng, mean: f64| {
+        let u: f64 = rng.gen();
+        ((-(1.0 - u).ln() * mean) as u64).max(1)
+    };
+    let interarrival_ns = 1e9 / rate as f64;
+    let mut departures: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+    let mut trace = Vec::with_capacity(events);
+    let (mut now, mut key) = (0u64, 0u64);
+    while trace.len() < events {
+        if let Some(&Reverse((at, k))) = departures.peek() {
+            if at <= now {
+                departures.pop();
+                trace.push(FlowEvent::Depart { key: k });
+                continue;
+            }
+        }
+        let pod = rng.gen_range(0..pods);
+        let src = ft.source(pod * half + rng.gen_range(0..half), rng.gen_range(0..hosts));
+        let dst = ft.destination(pod * half + rng.gen_range(0..half), rng.gen_range(0..hosts));
+        trace.push(FlowEvent::Arrive {
+            key,
+            flow: Flow::new(src, dst),
+        });
+        departures.push(Reverse((now + exponential(&mut rng, mean_ns as f64), key)));
+        key += 1;
+        now += exponential(&mut rng, interarrival_ns);
+    }
+    trace
+}
 
 /// One scenario's measured run.
 struct Measured {
@@ -200,37 +295,36 @@ struct Measured {
     epochs_lines: String,
 }
 
-fn run_scenario(s: &Scenario, opts: &Options) -> Measured {
-    let clos = ClosNetwork::standard(s.n);
-    let events = opts.events.unwrap_or(s.events);
-    let trace_cfg = TraceConfig {
-        arrival_rate_per_sec: s.rate,
-        lifetime: SizeDist::Exponential { mean_ns: s.mean_ns },
-        pattern: Pattern::Uniform,
-        events,
-        seed: opts.seed,
-    };
+/// Replays `events` into a fresh engine over `fabric`, flushing (and,
+/// with `--epochs-out`, publishing an epoch line) every `--checkpoint`
+/// events.
+fn replay<F: Fabric>(
+    name: &str,
+    fabric: F,
+    batch: usize,
+    events: impl Iterator<Item = FlowEvent>,
+    opts: &Options,
+) -> Measured {
     let policy = OnlinePolicy::from_name(&opts.policy, opts.seed).expect("validated in parse_args");
-    let mut engine = ChurnEngine::<TotalF64>::new(
-        clos.clone(),
+    let mut engine = ChurnEngine::<TotalF64, F>::new(
+        fabric,
         policy,
         ChurnConfig {
-            batch: opts.batch,
+            batch,
             verify: false,
         },
     );
     let mut epochs_lines = String::new();
     let mut applied = 0usize;
     let start = Instant::now();
-    for ev in TraceGenerator::new(&clos, &trace_cfg) {
-        engine.apply(ev.event);
+    for event in events {
+        engine.apply(event);
         applied += 1;
         if opts.epochs_out.is_some() && applied.is_multiple_of(opts.checkpoint) {
             engine.flush();
             writeln!(
                 epochs_lines,
-                "{{\"scenario\":\"{}\",\"event\":{},\"live\":{},\"checksum\":\"{:016x}\"}}",
-                s.name,
+                "{{\"scenario\":\"{name}\",\"event\":{},\"live\":{},\"checksum\":\"{:016x}\"}}",
                 applied,
                 engine.live(),
                 engine.checksum()
@@ -249,11 +343,39 @@ fn run_scenario(s: &Scenario, opts: &Options) -> Measured {
     }
 }
 
+fn run_scenario(s: &Scenario, opts: &Options) -> Measured {
+    let events = opts.events.unwrap_or(s.events);
+    let batch = s.batch.unwrap_or(opts.batch);
+    match s.topology {
+        Topology::Clos(n) => {
+            let clos = ClosNetwork::standard(n);
+            let trace_cfg = TraceConfig {
+                arrival_rate_per_sec: s.rate,
+                lifetime: SizeDist::Exponential { mean_ns: s.mean_ns },
+                pattern: Pattern::Uniform,
+                events,
+                seed: opts.seed,
+            };
+            let trace = TraceGenerator::new(&clos, &trace_cfg).map(|t| t.event);
+            replay(s.name, clos, batch, trace, opts)
+        }
+        Topology::FatTreePods(k) => {
+            let ft = FatTree::new(k, Rational::ONE);
+            let trace = pod_local_trace(&ft, s.rate, s.mean_ns, events, opts.seed);
+            replay(s.name, ft, batch, trace.into_iter(), opts)
+        }
+    }
+}
+
 fn run() -> Result<(), String> {
     let opts = parse_args()?;
     let selected: Vec<&Scenario> = SCENARIOS
         .iter()
-        .filter(|s| opts.scale == "both" || opts.scale == s.name)
+        .filter(|s| match opts.scale.as_str() {
+            "all" => true,
+            "both" => s.name != "ft8",
+            name => name == s.name,
+        })
         .collect();
 
     let mut rows = Vec::new();
@@ -274,7 +396,7 @@ fn run() -> Result<(), String> {
             s.name,
             events,
             m.stats.epochs,
-            opts.batch,
+            s.batch.unwrap_or(opts.batch),
             m.stats.peak_live,
             m.final_live,
             m.wall_ms,
@@ -287,9 +409,12 @@ fn run() -> Result<(), String> {
         };
         rows.push(JsonValue::Object(vec![
             ("scenario".to_string(), JsonValue::from(s.name)),
-            ("n".to_string(), JsonValue::from(s.n)),
+            ("n".to_string(), JsonValue::from(s.n())),
             ("policy".to_string(), JsonValue::from(opts.policy.as_str())),
-            ("batch".to_string(), JsonValue::from(opts.batch)),
+            (
+                "batch".to_string(),
+                JsonValue::from(s.batch.unwrap_or(opts.batch)),
+            ),
             ("events".to_string(), JsonValue::from(m.stats.events)),
             ("arrivals".to_string(), JsonValue::from(m.stats.arrivals)),
             (

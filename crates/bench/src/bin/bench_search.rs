@@ -36,10 +36,16 @@
 //!              [--profile]
 //! ```
 //!
-//! `--min-speedup X` makes the run fail unless the best total speedup
-//! (baseline / tuned) over all instance/objective rows reaches `X`; the
-//! default `0` records without gating, for single-core or otherwise
-//! wall-clock-hostile environments.
+//! The three configurations run interleaved: each repetition times
+//! baseline, prune, and tuned back to back, so a burst of load on a
+//! shared machine hits all three alike instead of one configuration's
+//! whole best-of window. Each row's speedups are the **median** over
+//! repetitions of the per-repetition ratios (baseline / prune, baseline
+//! / tuned); the spread (min–max) of the total ratio is printed and
+//! recorded next to it. `--min-speedup X` makes the run fail unless the
+//! best row's median total speedup reaches `X`; the default `0` records
+//! without gating, for single-core or otherwise wall-clock-hostile
+//! environments. Per-configuration `wall_ms` stays the best repetition.
 //!
 //! `--profile` attaches the engine's [`SearchProfile`] to every
 //! configuration row: per-depth node/prune/improvement histograms and
@@ -86,7 +92,8 @@ const USAGE: &str = "usage: bench_search [--out PATH] [--threads N] [--min-speed
   --out PATH        output JSON path (default BENCH_search.json)
   --threads N       thread count for the tuned configuration (default: auto)
   --min-speedup X   fail unless some row speeds up by at least X (default 0)
-  --reps R          timing repetitions per configuration, best-of (default 3)
+  --reps R          interleaved timing repetitions per row (default 5); speedups
+                    are per-repetition medians, wall times best-of
   --profile         attach per-depth search-tree histograms and
                     prune-provenance counters to every configuration row";
 
@@ -95,7 +102,7 @@ fn parse_args() -> Result<Options, String> {
         out: "BENCH_search.json".to_string(),
         threads: None,
         min_speedup: 0.0,
-        reps: 3,
+        reps: 5,
         profile: false,
     };
     let mut args = std::env::args().skip(1);
@@ -207,40 +214,90 @@ fn build(instance: &Instance) -> (ClosNetwork, Vec<Flow>) {
 }
 
 /// One configuration's measurement: best-of-`reps` wall time plus the
-/// (rep-invariant) search statistics and result.
+/// (rep-invariant) search statistics.
 struct Measured {
     wall_ms: f64,
     stats: SearchStats,
-    result: RoutedAllocation,
 }
 
-fn measure(
+/// Runs one search and returns its wall time with its outcome.
+fn run_once(
     clos: &ClosNetwork,
     flows: &[Flow],
     objective: &str,
     config: SearchConfig,
+) -> (f64, RoutedAllocation, SearchStats) {
+    let start = Instant::now();
+    let (result, stats) = match objective {
+        "lex" => search_lex_max_min_with(clos, flows, config),
+        "throughput" => search_throughput_max_min_with(clos, flows, config),
+        other => unreachable!("unknown objective {other}"),
+    };
+    (start.elapsed().as_secs_f64() * 1e3, result, stats)
+}
+
+/// One row's interleaved measurement: the three configurations, plus
+/// every repetition's wall time per configuration, in run order.
+struct Row {
+    configs: [Measured; 3],
+    reps_ms: [Vec<f64>; 3],
+}
+
+/// Times `configs` on one instance/objective for `reps` repetitions,
+/// each repetition running every configuration once in order. Fails if
+/// any run's result differs from the first configuration's.
+fn measure_row(
+    clos: &ClosNetwork,
+    flows: &[Flow],
+    objective: &str,
+    configs: [SearchConfig; 3],
     reps: u32,
-) -> Measured {
-    let mut best_ms = f64::INFINITY;
-    let mut outcome = None;
+) -> Result<Row, String> {
+    let mut reps_ms: [Vec<f64>; 3] = Default::default();
+    let mut stats: [Option<SearchStats>; 3] = Default::default();
+    let mut first: Option<RoutedAllocation> = None;
     for _ in 0..reps {
-        let start = Instant::now();
-        let (result, stats) = match objective {
-            "lex" => search_lex_max_min_with(clos, flows, config),
-            "throughput" => search_throughput_max_min_with(clos, flows, config),
-            other => unreachable!("unknown objective {other}"),
-        };
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        if ms < best_ms {
-            best_ms = ms;
+        for (k, &config) in configs.iter().enumerate() {
+            let (ms, result, run_stats) = run_once(clos, flows, objective, config);
+            match &first {
+                None => first = Some(result),
+                Some(first) if *first != result => {
+                    return Err(format!(
+                        "{objective}: configurations disagree on the optimal \
+                         RoutedAllocation — determinism violated"
+                    ));
+                }
+                Some(_) => {}
+            }
+            reps_ms[k].push(ms);
+            stats[k] = Some(run_stats);
         }
-        outcome = Some((result, stats));
     }
-    let (result, stats) = outcome.expect("reps >= 1 enforced by parse_args");
-    Measured {
-        wall_ms: best_ms,
-        stats,
-        result,
+    let configs = std::array::from_fn(|k| Measured {
+        wall_ms: reps_ms[k].iter().copied().fold(f64::INFINITY, f64::min),
+        stats: stats[k].take().expect("reps >= 1 enforced by parse_args"),
+    });
+    Ok(Row { configs, reps_ms })
+}
+
+/// Per-repetition ratios `numerator[r] / denominator[r]`, sorted.
+fn rep_ratios(numerator: &[f64], denominator: &[f64]) -> Vec<f64> {
+    let mut ratios: Vec<f64> = numerator
+        .iter()
+        .zip(denominator)
+        .map(|(&n, &d)| n / d.max(1e-9))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios
+}
+
+/// Median of a sorted, non-empty slice.
+fn median(sorted: &[f64]) -> f64 {
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
     }
 }
 
@@ -386,7 +443,7 @@ fn run() -> Result<(), String> {
     let mut rows = Vec::new();
     let mut gated_speedup = 0.0_f64;
     println!(
-        "{:<10} {:>10} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8}",
+        "{:<10} {:>10} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8} {:>13}",
         "instance",
         "objective",
         "flows",
@@ -394,7 +451,8 @@ fn run() -> Result<(), String> {
         "prune_ms",
         "tuned_ms",
         "sp_prune",
-        "sp_total"
+        "sp_total",
+        "total_spread"
     );
     for instance in INSTANCES {
         let (clos, flows) = build(instance);
@@ -406,23 +464,22 @@ fn run() -> Result<(), String> {
             &["lex"]
         };
         for objective in objectives {
-            let baseline = measure(&clos, &flows, objective, baseline_cfg, opts.reps);
-            let prune = measure(&clos, &flows, objective, prune_cfg, opts.reps);
-            let tuned = measure(&clos, &flows, objective, tuned_cfg, opts.reps);
-
-            if prune.result != baseline.result || tuned.result != baseline.result {
-                return Err(format!(
-                    "{}/{objective}: configurations disagree on the optimal \
-                     RoutedAllocation — determinism violated",
-                    instance.name
-                ));
-            }
-
-            let speedup_prune = baseline.wall_ms / prune.wall_ms.max(1e-9);
-            let speedup_total = baseline.wall_ms / tuned.wall_ms.max(1e-9);
+            let row = measure_row(
+                &clos,
+                &flows,
+                objective,
+                [baseline_cfg, prune_cfg, tuned_cfg],
+                opts.reps,
+            )
+            .map_err(|e| format!("{}/{e}", instance.name))?;
+            let [baseline, prune, tuned] = &row.configs;
+            let speedup_prune = median(&rep_ratios(&row.reps_ms[0], &row.reps_ms[1]));
+            let total = rep_ratios(&row.reps_ms[0], &row.reps_ms[2]);
+            let speedup_total = median(&total);
+            let (total_min, total_max) = (total[0], total[total.len() - 1]);
             gated_speedup = gated_speedup.max(speedup_total);
             println!(
-                "{:<10} {:>10} {:>6} {:>12.3} {:>12.3} {:>12.3} {:>7.1}x {:>7.1}x",
+                "{:<10} {:>10} {:>6} {:>12.3} {:>12.3} {:>12.3} {:>7.1}x {:>7.1}x {:>5.1}x-{:.1}x",
                 instance.name,
                 objective,
                 flows.len(),
@@ -430,7 +487,9 @@ fn run() -> Result<(), String> {
                 prune.wall_ms,
                 tuned.wall_ms,
                 speedup_prune,
-                speedup_total
+                speedup_total,
+                total_min,
+                total_max
             );
             if opts.profile {
                 let p = &tuned.stats.profile;
@@ -451,11 +510,13 @@ fn run() -> Result<(), String> {
                 ("objective".to_string(), JsonValue::from(*objective)),
                 ("n".to_string(), JsonValue::from(instance.n)),
                 ("flows".to_string(), JsonValue::from(flows.len())),
-                ("baseline".to_string(), config_json(&baseline, opts.profile)),
-                ("prune".to_string(), config_json(&prune, opts.profile)),
-                ("tuned".to_string(), config_json(&tuned, opts.profile)),
+                ("baseline".to_string(), config_json(baseline, opts.profile)),
+                ("prune".to_string(), config_json(prune, opts.profile)),
+                ("tuned".to_string(), config_json(tuned, opts.profile)),
                 ("speedup_prune".to_string(), JsonValue::from(speedup_prune)),
                 ("speedup_total".to_string(), JsonValue::from(speedup_total)),
+                ("speedup_total_min".to_string(), JsonValue::from(total_min)),
+                ("speedup_total_max".to_string(), JsonValue::from(total_max)),
                 ("results_identical".to_string(), JsonValue::from(true)),
             ]));
         }
@@ -501,7 +562,7 @@ fn run() -> Result<(), String> {
 
     if opts.min_speedup > 0.0 && gated_speedup < opts.min_speedup {
         return Err(format!(
-            "best total speedup {gated_speedup:.2}x below the required {:.2}x",
+            "best median total speedup {gated_speedup:.2}x below the required {:.2}x",
             opts.min_speedup
         ));
     }

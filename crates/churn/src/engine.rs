@@ -7,22 +7,45 @@
 //! removes one flow and marks the links the flow crosses *dirty*; after
 //! a configurable batch of events an *epoch* recomputes rates — but
 //! only for the *dirty region*, the connected component(s) of the
-//! flow↔link incidence graph reachable from a dirty link. Flows outside
+//! path↔link incidence graph reachable from a dirty link. Paths outside
 //! the region kept their membership lists and link loads unchanged, so
 //! their rates are provably unaffected and are reused verbatim.
+//!
+//! # Path aggregation
+//!
+//! Two flows with the same link set always get the same max-min rate and
+//! the same bottleneck (the paper's view of a flow collection as a
+//! bipartite multigraph, Lemma 3.2), and a fabric has far fewer paths
+//! than a churn workload has flows: `C_4` has at most 4 096 host-to-host
+//! paths under 10⁵ live flows. The engine therefore keeps a live count
+//! per *path*, keyed by (source terminal, routing class, destination
+//! terminal). Terminals are numbered densely from the fabric's
+//! coordinates; a per-terminal-pair table points to a chain of that
+//! pair's live paths (at most one per class), so no hash map and no
+//! table over the whole key space is needed. Path state lives in compact
+//! slots reused through a free list, sized by the number of live paths.
+//! A path joins the per-link member lists when its count goes 0→1 and
+//! leaves them on 1→0; each flow records only its path. The region
+//! closure walks paths, and an epoch pushes one waterfill entry per
+//! affected path with its count as the multiplicity (see
+//! [`WaterfillScratch::push_flows`]) and writes back one rate and one
+//! bottleneck per path, which the path's flows read through it. The
+//! per-flow live counts per link stay, because the policy compares them.
 //!
 //! # Bit-identical incrementality
 //!
 //! Water-filling decomposes over connected components: rounds in one
 //! component never influence another (the fill level of a link depends
 //! only on its own members and frozen load). The epoch recompute pushes
-//! just the region's flows, in ascending slot order, into a run of the
+//! just the region's paths, in ascending slot order, into a run of the
 //! engine's one full [`WaterfillInstance`]; the run scans only links
 //! with unfrozen members, in dense (= network link) order, so the
 //! region's freezing order and bottleneck scan order are those of a
-//! full run restricted to the region. The recomputed rates and
-//! bottlenecks are therefore **bit-identical** (in both exact-rational
-//! and `TotalF64` modes) to a fresh full run over the live set, and the
+//! full run restricted to the region, and an entry of multiplicity `m`
+//! freezes exactly as `m` copies of its flow would. The recomputed rates
+//! and bottlenecks are therefore **bit-identical** (in both
+//! exact-rational and `TotalF64` modes) to a fresh per-flow run over the
+//! live set, and the
 //! engine's [`levels`](ChurnEngine::levels) equal the fresh run's up to
 //! the sorted-dedup normalization described on that method. The
 //! `verify` flag of [`ChurnConfig`] asserts exactly that against a
@@ -32,29 +55,36 @@
 //! # Whole-fabric epochs
 //!
 //! When every busy link (one with live flows) will be expanded, the
-//! region is every live flow, so the closure stops early. The engine
+//! region is every live path, so the closure stops early. The engine
 //! keeps a running count of busy links; the closure counts the links it
 //! will expand (the seeds with live members, plus every link it pushes)
-//! and, once that count reaches the busy count, takes the live slots in
-//! ascending order without scanning further members or sorting. The
-//! exit is exact: each live flow crosses at least one busy link, and
-//! each counted link is busy and counted once. A zero-capacity link
-//! that is not a seed is never expanded and never counted, so the exit
-//! cannot fire past a failure cut. On a single-component fabric (a
-//! 3-stage Clos under uniform traffic) a large batch's seeds alone
-//! cover every busy link; pod-local traffic on a fat-tree never fires
-//! it and keeps its region reuse. With `verify` set, every epoch also
-//! re-runs the closure without the exit and asserts the same slots.
+//! and, once that count reaches the busy count, takes the live path
+//! slots in ascending order without scanning further members or
+//! sorting. The exit is exact: each live path crosses at least one busy
+//! link, and each counted link is busy and counted once. A
+//! zero-capacity link that is not a seed is never expanded and never
+//! counted, so the exit cannot fire past a failure cut. On a
+//! single-component fabric (a 3-stage Clos under uniform traffic) a
+//! large batch's seeds alone cover every busy link; pod-local traffic on
+//! a fat-tree never fires it and keeps its region reuse. With `verify`
+//! set, every epoch also re-runs the closure without the exit and
+//! asserts the same paths.
 //!
-//! Because routing, slot assignment, and link bookkeeping all happen at
-//! *apply* time (they are pure functions of the event prefix), the
-//! engine's state after `apply`ing a prefix and [`flush`]ing is
+//! The closure walks paths rather than flows because that is the unit
+//! the epoch recomputes: flows on one path share every link, so they
+//! join a region together, and a member list of paths is at most as
+//! long as one of flows — on `C_4` under uniform churn an uplink carries
+//! thousands of flows but at most 128 paths.
+//!
+//! Because routing, slot and path assignment, and link bookkeeping all
+//! happen at *apply* time (they are pure functions of the event
+//! prefix), the engine's state after `apply`ing a prefix and [`flush`]ing is
 //! independent of the batch size — two engines fed the same trace with
 //! different batches agree byte-for-byte at every common flushed
 //! checkpoint (CI byte-diffs published epochs at two batch sizes).
 //!
 //! Nothing here assumes the Clos shape: paths may have any length up to
-//! [`Fabric::max_path_len`] (slot link/position tables are flat arrays
+//! [`Fabric::max_path_len`] (path link/position tables are flat arrays
 //! with that stride), and congestion bookkeeping is a live-flow count
 //! per dense link rather than per (ToR, middle) pair. On a Clos fabric
 //! the interior of a path is exactly its uplink and downlink, so the
@@ -74,6 +104,10 @@ use crate::reroute::{LocalReroute, RerouteOutcome};
 
 /// Sentinel in the key→slot table: the key has no live flow.
 const NO_SLOT: u32 = u32::MAX;
+
+/// Sentinel for "no path": the end of a terminal pair's path chain, and
+/// the terminal-table entry of a node that is not a terminal.
+const NO_PATH: u32 = u32::MAX;
 
 /// Engine configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -107,6 +141,9 @@ pub struct RecomputeStats {
     pub dirty_links: u64,
     /// Live flows recomputed by epochs (inside dirty regions).
     pub recomputed_flows: u64,
+    /// Live paths recomputed by epochs: the waterfill entries, one per
+    /// path however many flows share it.
+    pub recomputed_paths: u64,
     /// Live flows whose cached rates epochs reused.
     pub reused_flows: u64,
     /// Events applied.
@@ -128,22 +165,40 @@ pub struct RecomputeStats {
 }
 
 /// One flow's bookkeeping (slots are reused through a free list after
-/// the flow departs). The flow's dense link indices and member-list
-/// positions live in the engine's flat `slot_links`/`slot_pos` tables
-/// at `slot * stride`, with `len` entries used.
+/// the flow departs). The flow's routing class, links, rate, and
+/// bottleneck belong to its path.
 #[derive(Clone, Debug)]
-struct Slot<S> {
+struct Slot {
     key: FlowKey,
     flow: Flow,
-    /// Chosen routing class (on Clos, the middle-switch index).
+    /// The path slot the flow rides.
+    path: u32,
+    live: bool,
+}
+
+/// One live path: a (source terminal, class, destination terminal) key
+/// with at least one live flow. Path slots are reused through a free
+/// list once their last flow leaves. The path's dense link indices and
+/// member-list positions live in the engine's flat
+/// `path_links`/`path_pos` tables at `path * stride`, with `len` entries
+/// used.
+#[derive(Clone, Debug)]
+struct PathSlot<S> {
+    /// Index of the path's terminal pair in `pair_head`.
+    pair: u32,
+    /// Routing class of the path (on Clos, the middle-switch index).
     class: u32,
-    /// Number of links on the flow's current path.
+    /// Next live path of the same terminal pair (`NO_PATH` ends it).
+    next: u32,
+    /// Live flows on the path; zero marks a free slot.
+    count: u32,
+    /// Number of links on the path.
     len: u32,
-    /// Cached max-min rate as of the last epoch covering this flow.
+    /// Cached max-min rate of every flow on the path as of the last
+    /// epoch covering it.
     rate: S,
     /// Bottleneck link (dense index) as of that epoch.
     bottleneck: u32,
-    live: bool,
 }
 
 /// Event-driven incremental max-min allocation over a multi-stage
@@ -178,22 +233,35 @@ pub struct ChurnEngine<S, F: Fabric = ClosNetwork> {
     cfg: ChurnConfig,
     capacity: Rational,
     classes: usize,
-    /// Per-slot stride of the flat link/position tables, equal to the
+    /// Per-path stride of the flat link/position tables, equal to the
     /// fabric's [`max_path_len`](Fabric::max_path_len).
     stride: usize,
 
-    slots: Vec<Slot<S>>,
-    /// Dense link indices per slot, `stride` entries each (the first
-    /// `len` are meaningful).
-    slot_links: Vec<u32>,
-    /// This slot's position inside each link's member list, parallel to
-    /// `slot_links`.
-    slot_pos: Vec<u32>,
+    slots: Vec<Slot>,
     free: Vec<u32>,
     /// Key → slot index (keys are dense, see [`FlowKey`]); `NO_SLOT`
     /// marks keys that never arrived or already departed.
     slot_of_key: Vec<u32>,
-    /// Per dense link: member slot indices (order maintained by
+
+    paths: Vec<PathSlot<S>>,
+    /// Dense link indices per path slot, `stride` entries each (the
+    /// first `len` are meaningful).
+    path_links: Vec<u32>,
+    /// This path's position inside each link's member list, parallel
+    /// to `path_links`.
+    path_pos: Vec<u32>,
+    free_paths: Vec<u32>,
+    /// Per network node: its dense source-terminal index, or `NO_PATH`.
+    src_terminal: Vec<u32>,
+    /// Per network node: its dense destination-terminal index, or
+    /// `NO_PATH`.
+    dst_terminal: Vec<u32>,
+    /// Number of destination terminals (the row length of `pair_head`).
+    dst_terminals: usize,
+    /// Per (source terminal, destination terminal) pair: the first live
+    /// path of the pair's chain through `PathSlot::next`, or `NO_PATH`.
+    pair_head: Vec<u32>,
+    /// Per dense link: member path slots (order maintained by
     /// swap-remove, deterministic in the event prefix).
     members: Vec<Vec<u32>>,
     /// Live-flow count per dense link (every link of a live flow's
@@ -215,7 +283,7 @@ pub struct ChurnEngine<S, F: Fabric = ClosNetwork> {
     class_loads: Vec<u32>,
     // Epoch work buffers, reused across epochs.
     flow_links: Vec<usize>,
-    slot_mark: Vec<bool>,
+    path_mark: Vec<bool>,
     affected: Vec<u32>,
     link_stack: Vec<usize>,
 
@@ -233,6 +301,22 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         assert!(cfg.batch >= 1, "batch size must be at least 1");
         let instance = WaterfillInstance::<S>::compile(fabric.network());
         let links = instance.link_count();
+        // Dense terminal indices, in node order.
+        let nodes = fabric.network().node_count();
+        let mut src_terminal = vec![NO_PATH; nodes];
+        let mut dst_terminal = vec![NO_PATH; nodes];
+        let (mut sources, mut destinations) = (0u32, 0u32);
+        for node in fabric.network().nodes() {
+            let id = node.id();
+            if fabric.source_coords(id).is_some() {
+                src_terminal[id.index()] = sources;
+                sources += 1;
+            }
+            if fabric.destination_coords(id).is_some() {
+                dst_terminal[id.index()] = destinations;
+                destinations += 1;
+            }
+        }
         ChurnEngine {
             capacity: fabric.nominal_capacity(),
             classes: fabric.class_count(),
@@ -241,10 +325,16 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             policy,
             cfg,
             slots: Vec::new(),
-            slot_links: Vec::new(),
-            slot_pos: Vec::new(),
             free: Vec::new(),
             slot_of_key: Vec::new(),
+            paths: Vec::new(),
+            path_links: Vec::new(),
+            path_pos: Vec::new(),
+            free_paths: Vec::new(),
+            src_terminal,
+            dst_terminal,
+            dst_terminals: destinations as usize,
+            pair_head: vec![NO_PATH; sources as usize * destinations as usize],
             members: vec![Vec::new(); links],
             live_count: vec![0; links],
             busy_links: 0,
@@ -257,7 +347,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             path_buf: Vec::new(),
             class_loads: Vec::new(),
             flow_links: Vec::new(),
-            slot_mark: Vec::new(),
+            path_mark: Vec::new(),
             affected: Vec::new(),
             link_stack: Vec::new(),
             stats: RecomputeStats::default(),
@@ -321,29 +411,15 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         }
         let class = self.policy.pick_class(&self.class_loads, self.capacity);
 
-        self.path_buf.clear();
-        self.fabric
-            .append_links_via(flow, class, &mut self.path_buf);
-        let len = self.path_buf.len();
-        debug_assert!(
-            len >= 1 && len <= self.stride,
-            "path length within the fabric's declared bound"
-        );
-
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
                 self.slots.push(Slot {
                     key: 0,
                     flow,
-                    class: 0,
-                    len: 0,
-                    rate: S::zero(),
-                    bottleneck: 0,
+                    path: NO_PATH,
                     live: false,
                 });
-                self.slot_links.resize(self.slots.len() * self.stride, 0);
-                self.slot_pos.resize(self.slots.len() * self.stride, 0);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -358,38 +434,91 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         );
         self.slot_of_key[ki] = slot;
 
-        self.link_current_path(slot);
-
-        let base = slot as usize * self.stride;
+        let path = self.join_path(flow, class);
         let s = &mut self.slots[slot as usize];
         s.key = key;
         s.flow = flow;
-        s.class = class as u32;
-        s.len = len as u32;
-        s.rate = S::zero();
-        s.bottleneck = self.slot_links[base];
+        s.path = path;
         s.live = true;
         self.live += 1;
         self.stats.peak_live = self.stats.peak_live.max(self.live as u64);
     }
 
-    /// Pushes `slot` onto the member list of every link in `path_buf`
-    /// (recording dense indices and positions in the flat tables),
-    /// bumps live counts, and marks the links dirty.
-    fn link_current_path(&mut self, slot: u32) {
-        let base = slot as usize * self.stride;
-        for i in 0..self.path_buf.len() {
-            let d = self.dense(self.path_buf[i]);
-            self.slot_links[base + i] = d as u32;
-            let p = self.members[d].len() as u32;
-            self.members[d].push(slot);
-            self.slot_pos[base + i] = p;
+    /// Adds one flow to the path of `flow` via `class`, opening the path
+    /// if it has no live flow yet, and returns its path slot. Bumps the
+    /// live counts of the path's links and marks them dirty.
+    fn join_path(&mut self, flow: Flow, class: usize) -> u32 {
+        let pair = self.src_terminal[flow.src().index()] as usize * self.dst_terminals
+            + self.dst_terminal[flow.dst().index()] as usize;
+        let mut path = self.pair_head[pair];
+        while path != NO_PATH && self.paths[path as usize].class != class as u32 {
+            path = self.paths[path as usize].next;
+        }
+        if path == NO_PATH {
+            path = self.open_path(flow, class, pair);
+        }
+        let p = &mut self.paths[path as usize];
+        p.count += 1;
+        let (base, len) = (path as usize * self.stride, p.len as usize);
+        for i in 0..len {
+            let d = self.path_links[base + i] as usize;
             if self.live_count[d] == 0 {
                 self.busy_links += 1;
             }
             self.live_count[d] += 1;
             self.mark_dirty(d);
         }
+        path
+    }
+
+    /// Takes a free path slot for the path of `flow` via `class`, links
+    /// it into its terminal pair's chain and onto the member list of
+    /// every link it crosses (recording dense indices and positions in
+    /// the flat tables), and returns it with a live count of zero.
+    fn open_path(&mut self, flow: Flow, class: usize, pair: usize) -> u32 {
+        self.path_buf.clear();
+        self.fabric
+            .append_links_via(flow, class, &mut self.path_buf);
+        let len = self.path_buf.len();
+        debug_assert!(
+            len >= 1 && len <= self.stride,
+            "path length within the fabric's declared bound"
+        );
+        let path = match self.free_paths.pop() {
+            Some(path) => path,
+            None => {
+                self.paths.push(PathSlot {
+                    pair: 0,
+                    class: 0,
+                    next: NO_PATH,
+                    count: 0,
+                    len: 0,
+                    rate: S::zero(),
+                    bottleneck: 0,
+                });
+                self.path_links.resize(self.paths.len() * self.stride, 0);
+                self.path_pos.resize(self.paths.len() * self.stride, 0);
+                (self.paths.len() - 1) as u32
+            }
+        };
+        let base = path as usize * self.stride;
+        for i in 0..len {
+            let d = self.dense(self.path_buf[i]);
+            self.path_links[base + i] = d as u32;
+            self.path_pos[base + i] = self.members[d].len() as u32;
+            self.members[d].push(path);
+        }
+        self.paths[path as usize] = PathSlot {
+            pair: pair as u32,
+            class: class as u32,
+            next: self.pair_head[pair],
+            count: 0,
+            len: len as u32,
+            rate: S::zero(),
+            bottleneck: self.path_links[base],
+        };
+        self.pair_head[pair] = path;
+        path
     }
 
     fn depart(&mut self, key: FlowKey) {
@@ -402,47 +531,77 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         };
         self.slot_of_key[ki] = NO_SLOT;
 
-        self.unlink_slot(slot);
+        self.leave_path(self.slots[slot as usize].path);
 
         self.slots[slot as usize].live = false;
         self.free.push(slot);
         self.live -= 1;
     }
 
-    /// Removes `slot` from the member list of each link it crosses
-    /// (swap-remove with position fixup), drops its live counts, and
-    /// marks those links dirty.
-    fn unlink_slot(&mut self, slot: u32) {
-        let base = slot as usize * self.stride;
-        let len = self.slots[slot as usize].len as usize;
+    /// Removes one flow from `path`: drops the path's live counts and
+    /// marks its links dirty, closing the path once its last flow left.
+    fn leave_path(&mut self, path: u32) {
+        let (base, len) = (
+            path as usize * self.stride,
+            self.paths[path as usize].len as usize,
+        );
         for i in 0..len {
-            let d = self.slot_links[base + i] as usize;
-            let p = self.slot_pos[base + i] as usize;
+            let d = self.path_links[base + i] as usize;
             self.live_count[d] -= 1;
             if self.live_count[d] == 0 {
                 self.busy_links -= 1;
             }
+            self.mark_dirty(d);
+        }
+        self.paths[path as usize].count -= 1;
+        if self.paths[path as usize].count == 0 {
+            self.close_path(path);
+        }
+    }
+
+    /// Removes the empty `path` from the member list of each link it
+    /// crosses (swap-remove with position fixup) and from its terminal
+    /// pair's chain, and frees its slot.
+    fn close_path(&mut self, path: u32) {
+        let base = path as usize * self.stride;
+        let len = self.paths[path as usize].len as usize;
+        for i in 0..len {
+            let d = self.path_links[base + i] as usize;
+            let p = self.path_pos[base + i] as usize;
             let list = &mut self.members[d];
             let Some(last) = list.pop() else {
-                unreachable!("member list of a live flow's link cannot be empty")
+                unreachable!("member list of a live path's link cannot be empty")
             };
             if p < list.len() {
-                // Swap-remove: the tail slot moves into `p`; fix its
+                // Swap-remove: the tail path moves into `p`; fix its
                 // recorded position for this link (a path never repeats
-                // a link, so `d` appears once in the moved slot).
+                // a link, so `d` appears once in the moved path).
                 list[p] = last;
                 let mbase = last as usize * self.stride;
-                let mlen = self.slots[last as usize].len as usize;
+                let mlen = self.paths[last as usize].len as usize;
                 for j in 0..mlen {
-                    if self.slot_links[mbase + j] as usize == d {
-                        self.slot_pos[mbase + j] = p as u32;
+                    if self.path_links[mbase + j] as usize == d {
+                        self.path_pos[mbase + j] = p as u32;
                     }
                 }
             } else {
-                debug_assert_eq!(last, slot, "position table out of sync");
+                debug_assert_eq!(last, path, "position table out of sync");
             }
-            self.mark_dirty(d);
         }
+        let (pair, next) = {
+            let p = &self.paths[path as usize];
+            (p.pair as usize, p.next)
+        };
+        if self.pair_head[pair] == path {
+            self.pair_head[pair] = next;
+        } else {
+            let mut prev = self.pair_head[pair];
+            while self.paths[prev as usize].next != path {
+                prev = self.paths[prev as usize].next;
+            }
+            self.paths[prev as usize].next = next;
+        }
+        self.free_paths.push(path);
     }
 
     fn mark_dirty(&mut self, dense: usize) {
@@ -475,7 +634,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         self.close_region(true);
         if self.cfg.verify {
             // Check the shortcut, don't trust it: the closure without the
-            // whole-fabric exit must select the very same slots.
+            // whole-fabric exit must select the very same paths.
             let shortcut = std::mem::take(&mut self.affected);
             for &d in &self.dirty_list {
                 self.dirty[d] = true;
@@ -488,31 +647,35 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         }
         self.dirty_list.clear();
 
+        // One waterfill entry per affected path, standing for all of
+        // the path's flows.
         self.scratch.begin();
+        let mut recomputed = 0u64;
         for idx in 0..self.affected.len() {
-            let slot = self.affected[idx] as usize;
-            let base = slot * self.stride;
-            let plen = self.slots[slot].len as usize;
+            let path = self.affected[idx] as usize;
+            let base = path * self.stride;
+            let p = &self.paths[path];
             self.flow_links.clear();
-            for j in 0..plen {
-                self.flow_links.push(self.slot_links[base + j] as usize);
+            for j in 0..p.len as usize {
+                self.flow_links.push(self.path_links[base + j] as usize);
             }
-            self.scratch.push_flow(&self.flow_links);
+            self.scratch.push_flows(&self.flow_links, p.count as usize);
+            recomputed += u64::from(p.count);
         }
         self.instance.run(&mut self.scratch);
 
         let rates = self.scratch.rates();
         let bottlenecks = self.scratch.bottlenecks();
-        for (i, &slot) in self.affected.iter().enumerate() {
-            let s = &mut self.slots[slot as usize];
-            s.rate = rates[i];
-            s.bottleneck = bottlenecks[i] as u32;
+        for (i, &path) in self.affected.iter().enumerate() {
+            let p = &mut self.paths[path as usize];
+            p.rate = rates[i];
+            p.bottleneck = bottlenecks[i] as u32;
         }
-        let recomputed = self.affected.len() as u64;
         let reused = self.live as u64 - recomputed;
         counters::CHURN_RECOMPUTED_FLOWS.add(recomputed);
         counters::CHURN_REUSED_FLOWS.add(reused);
         self.stats.recomputed_flows += recomputed;
+        self.stats.recomputed_paths += self.affected.len() as u64;
         self.stats.reused_flows += reused;
 
         if self.cfg.verify {
@@ -520,24 +683,23 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         }
     }
 
-    /// Closes the dirty links under flow↔link incidence, leaving the
-    /// region's slots in `affected` in ascending slot order — the same
-    /// relative order a full run over all live slots would use. Every
-    /// flow on an expanded link joins the region along with all of its
+    /// Closes the dirty links under path↔link incidence, leaving the
+    /// region's paths in `affected` in ascending path-slot order. Every
+    /// path on an expanded link joins the region along with all of its
     /// links, so the region covers whole connected components and a run
-    /// over just the affected flows is exact (see the module docs).
+    /// over just the affected paths is exact (see the module docs).
     ///
-    /// On entry `dirty` marks exactly `dirty_list` and `slot_mark` is
+    /// On entry `dirty` marks exactly `dirty_list` and `path_mark` is
     /// clear; on exit both are clear. With `whole_fabric_exit` the
     /// search stops as soon as the links it will expand cover every
-    /// busy link: each live flow crosses one of them, so the region is
-    /// then every live slot, taken in slot order without a sort.
+    /// busy link: each live path crosses one of them, so the region is
+    /// then every live path, taken in slot order without a sort.
     fn close_region(&mut self, whole_fabric_exit: bool) {
-        self.slot_mark.resize(self.slots.len(), false);
+        self.path_mark.resize(self.paths.len(), false);
         self.affected.clear();
         self.link_stack.clear();
         // Links the closure will expand: seeds with live members, plus
-        // every link pushed below. A pushed link carries the live flow
+        // every link pushed below. A pushed link carries the live path
         // that reached it, so each counted link is busy and counted once.
         let mut expanded = self
             .dirty_list
@@ -550,16 +712,16 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         }
         'closure: while let Some(d) = self.link_stack.pop() {
             for idx in 0..self.members[d].len() {
-                let slot = self.members[d][idx];
-                if self.slot_mark[slot as usize] {
+                let path = self.members[d][idx];
+                if self.path_mark[path as usize] {
                     continue;
                 }
-                self.slot_mark[slot as usize] = true;
-                self.affected.push(slot);
-                let base = slot as usize * self.stride;
-                let plen = self.slots[slot as usize].len as usize;
+                self.path_mark[path as usize] = true;
+                self.affected.push(path);
+                let base = path as usize * self.stride;
+                let plen = self.paths[path as usize].len as usize;
                 for j in 0..plen {
-                    let l = self.slot_links[base + j] as usize;
+                    let l = self.path_links[base + j] as usize;
                     if !self.dirty[l] {
                         self.dirty[l] = true;
                         // A zero-capacity (failed) link joins the
@@ -584,34 +746,35 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             }
         }
         // `dirty` marks the region (or a prefix of it); clearing the
-        // whole O(links) array is cheaper than revisiting the flows.
+        // whole O(links) array is cheaper than revisiting the paths.
         self.dirty.fill(false);
-        for &slot in &self.affected {
-            self.slot_mark[slot as usize] = false;
+        for &path in &self.affected {
+            self.path_mark[path as usize] = false;
         }
         if whole {
             self.affected.clear();
-            let slots = &self.slots;
+            let paths = &self.paths;
             self.affected
-                .extend((0..slots.len() as u32).filter(|&s| slots[s as usize].live));
+                .extend((0..paths.len() as u32).filter(|&p| paths[p as usize].count > 0));
         } else {
             self.affected.sort_unstable();
         }
     }
 
-    /// Full-recompute oracle check (the `verify` flag): a fresh run
-    /// over every live flow must agree bit for bit.
+    /// Full-recompute oracle check (the `verify` flag): a fresh
+    /// per-flow run (one entry per live flow, no aggregation) must agree
+    /// bit for bit with every flow's path rate and bottleneck.
     fn check_against_oracle(&mut self) {
         self.oracle_scratch.begin();
         for si in 0..self.slots.len() {
             if !self.slots[si].live {
                 continue;
             }
-            let base = si * self.stride;
-            let plen = self.slots[si].len as usize;
+            let path = self.slots[si].path as usize;
+            let base = path * self.stride;
             self.flow_links.clear();
-            for j in 0..plen {
-                self.flow_links.push(self.slot_links[base + j] as usize);
+            for j in 0..self.paths[path].len as usize {
+                self.flow_links.push(self.path_links[base + j] as usize);
             }
             self.oracle_scratch.push_flow(&self.flow_links);
         }
@@ -623,13 +786,14 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             if !slot.live {
                 continue;
             }
+            let path = &self.paths[slot.path as usize];
             assert!(
-                slot.rate == rates[i],
+                path.rate == rates[i],
                 "incremental rate diverged from the oracle for key {}",
                 slot.key
             );
             assert!(
-                slot.bottleneck as usize == bottlenecks[i],
+                path.bottleneck as usize == bottlenecks[i],
                 "incremental bottleneck diverged from the oracle for key {}",
                 slot.key
             );
@@ -688,24 +852,13 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     }
 
     /// Moves the live flow in `slot` onto its path via `class`,
-    /// updating member lists, live counts, and dirty marks on both the
-    /// old and new links. The recorded rate goes stale until the next
-    /// flush.
+    /// updating path counts, member lists, live counts, and dirty marks
+    /// on both the old and new links. The flow's published rate is the
+    /// new path's until the next flush recomputes it.
     fn relocate(&mut self, slot: u32, class: usize) {
-        self.unlink_slot(slot);
+        self.leave_path(self.slots[slot as usize].path);
         let flow = self.slots[slot as usize].flow;
-        self.path_buf.clear();
-        self.fabric
-            .append_links_via(flow, class, &mut self.path_buf);
-        let len = self.path_buf.len();
-        debug_assert!(
-            len >= 1 && len <= self.stride,
-            "path length within the fabric's declared bound"
-        );
-        self.link_current_path(slot);
-        let s = &mut self.slots[slot as usize];
-        s.class = class as u32;
-        s.len = len as u32;
+        self.slots[slot as usize].path = self.join_path(flow, class);
     }
 
     /// Sweeps every live flow crossing a zero-capacity link and moves
@@ -728,11 +881,12 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             if !s.live {
                 continue;
             }
-            let (flow, len) = (s.flow, s.len as usize);
-            let base = slot as usize * self.stride;
+            let flow = s.flow;
+            let len = self.paths[s.path as usize].len as usize;
+            let base = s.path as usize * self.stride;
             let dead = (0..len).any(|j| {
                 self.instance
-                    .capacity(self.slot_links[base + j] as usize)
+                    .capacity(self.path_links[base + j] as usize)
                     .is_zero()
             });
             if !dead {
@@ -742,11 +896,11 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
             // one is dead, no detour exists.
             let host_dead = self
                 .instance
-                .capacity(self.slot_links[base] as usize)
+                .capacity(self.path_links[base] as usize)
                 .is_zero()
                 || self
                     .instance
-                    .capacity(self.slot_links[base + len - 1] as usize)
+                    .capacity(self.path_links[base + len - 1] as usize)
                     .is_zero();
             candidates.clear();
             if !host_dead {
@@ -808,26 +962,30 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         self.stats
     }
 
-    /// The rate of the live flow with `key` as of the last flush, or
-    /// `None` if no live flow has that key.
-    #[must_use]
-    pub fn rate(&self, key: FlowKey) -> Option<S> {
+    /// The live slot of `key`, if any.
+    fn live_slot(&self, key: FlowKey) -> Option<&Slot> {
         let slot = *self.slot_of_key.get(key as usize)?;
         if slot == NO_SLOT {
             return None;
         }
-        Some(self.slots[slot as usize].rate)
+        Some(&self.slots[slot as usize])
+    }
+
+    /// The rate of the live flow with `key` as of the last flush, or
+    /// `None` if no live flow has that key. (A flow that joined a live
+    /// path since then reads that path's rate; one that opened a new
+    /// path reads zero.)
+    #[must_use]
+    pub fn rate(&self, key: FlowKey) -> Option<S> {
+        self.live_slot(key)
+            .map(|s| self.paths[s.path as usize].rate)
     }
 
     /// The endpoints of the live flow with `key`, or `None` if no live
     /// flow has that key.
     #[must_use]
     pub fn flow(&self, key: FlowKey) -> Option<Flow> {
-        let slot = *self.slot_of_key.get(key as usize)?;
-        if slot == NO_SLOT {
-            return None;
-        }
-        Some(self.slots[slot as usize].flow)
+        self.live_slot(key).map(|s| s.flow)
     }
 
     /// The routing class the live flow with `key` was placed on (on a
@@ -837,25 +995,18 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     /// [`reroute_failed`](Self::reroute_failed).
     #[must_use]
     pub fn class_of(&self, key: FlowKey) -> Option<usize> {
-        let slot = *self.slot_of_key.get(key as usize)?;
-        if slot == NO_SLOT {
-            return None;
-        }
-        Some(self.slots[slot as usize].class as usize)
+        self.live_slot(key)
+            .map(|s| self.paths[s.path as usize].class as usize)
     }
 
     /// The bottleneck link of the live flow with `key` as of the last
     /// flush.
     #[must_use]
     pub fn bottleneck(&self, key: FlowKey) -> Option<LinkId> {
-        let slot = *self.slot_of_key.get(key as usize)?;
-        if slot == NO_SLOT {
-            return None;
-        }
-        Some(
+        self.live_slot(key).map(|s| {
             self.instance
-                .link_id(self.slots[slot as usize].bottleneck as usize),
-        )
+                .link_id(self.paths[s.path as usize].bottleneck as usize)
+        })
     }
 
     /// Iterates over `(key, rate)` of every live flow in slot order (a
@@ -865,7 +1016,7 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         self.slots
             .iter()
             .filter(|s| s.live)
-            .map(|s| (s.key, s.rate))
+            .map(|s| (s.key, self.paths[s.path as usize].rate))
     }
 
     /// The global fill levels as of the last flush: the sorted,
@@ -876,14 +1027,16 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
     /// under exact rationals, where round levels strictly increase.
     /// (Under `TotalF64`, rounding can make a recomputed link level
     /// land exactly back on the previous round's level, so a fresh
-    /// run's raw sequence may contain duplicates.)
+    /// run's raw sequence may contain duplicates.) Every live path
+    /// carries at least one live flow, so the live paths' rates are the
+    /// live flows' rates.
     #[must_use]
     pub fn levels(&self) -> Vec<S> {
         let mut levels: Vec<S> = self
-            .slots
+            .paths
             .iter()
-            .filter(|s| s.live)
-            .map(|s| s.rate)
+            .filter(|p| p.count > 0)
+            .map(|p| p.rate)
             .collect();
         levels.sort_unstable();
         levels.dedup();
@@ -903,11 +1056,9 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        for slot in &self.slots {
-            if slot.live {
-                fold(slot.key);
-                fold(slot.rate.to_f64().to_bits());
-            }
+        for (key, rate) in self.live_flows() {
+            fold(key);
+            fold(rate.to_f64().to_bits());
         }
         fold(self.live as u64);
         h
@@ -1183,6 +1334,98 @@ mod tests {
             (stats.epochs, stats.recomputed_flows, stats.reused_flows),
             (4, 76, 0)
         );
+    }
+
+    /// Path aggregation fires: on a C_2 trace concentrated on three
+    /// host pairs, every epoch recomputes at most one entry per path key
+    /// (2 classes × 8 sources × 8 destinations), and far fewer paths
+    /// than flows. Draining one pair empties its paths, which leave the
+    /// pair chain, the member lists, and the region; `verify` pins every
+    /// epoch against the per-flow oracle.
+    #[test]
+    fn hot_pairs_recompute_paths_not_flows() {
+        use rand::{Rng, SeedableRng};
+        let mut e = engine(2, usize::MAX, true);
+        let pairs = [((0, 0), (2, 0)), ((0, 1), (3, 1)), ((1, 0), (2, 1))];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        // Live flows as `(key, pair)`.
+        let mut live: Vec<(u64, usize)> = Vec::new();
+        let mut next_key = 0u64;
+        let live_paths = |e: &ChurnEngine<Rational>| e.paths.iter().filter(|p| p.count > 0).count();
+        // Warm up to 90 flows (30 per pair, ~15 per path) in one epoch.
+        for i in 0..90 {
+            let (src, dst) = pairs[i % 3];
+            arrive(&mut e, next_key, src, dst);
+            live.push((next_key, i % 3));
+            next_key += 1;
+        }
+        let before = e.stats();
+        e.flush();
+        let warm_paths = live_paths(&e);
+        assert!((3..=6).contains(&warm_paths));
+        assert_eq!(
+            e.stats().recomputed_paths - before.recomputed_paths,
+            warm_paths as u64
+        );
+        assert_eq!(e.stats().recomputed_flows - before.recomputed_flows, 90);
+        // Then one event per epoch.
+        for _ in 0..200 {
+            if rng.gen_bool(0.5) {
+                let p = rng.gen_range(0..3);
+                let (src, dst) = pairs[p];
+                arrive(&mut e, next_key, src, dst);
+                live.push((next_key, p));
+                next_key += 1;
+            } else {
+                let (key, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                e.apply(FlowEvent::Depart { key });
+            }
+            let before = e.stats();
+            e.flush();
+            let after = e.stats();
+            let paths = after.recomputed_paths - before.recomputed_paths;
+            let flows = after.recomputed_flows - before.recomputed_flows;
+            assert!(paths <= 2 * 8 * 8, "{paths} paths in one epoch");
+            assert!(4 * paths <= flows, "{paths} paths for {flows} flows");
+        }
+        // Drain pair 0: its paths close and leave the pair's chain and
+        // every member list.
+        let ((s_tor, s_host), (d_tor, d_host)) = pairs[0];
+        let src = e.fabric().source(s_tor, s_host);
+        let dst = e.fabric().destination(d_tor, d_host);
+        let pair = e.src_terminal[src.index()] as usize * e.dst_terminals
+            + e.dst_terminal[dst.index()] as usize;
+        let pair_paths = e
+            .paths
+            .iter()
+            .filter(|p| p.count > 0 && p.pair as usize == pair)
+            .count();
+        assert!(pair_paths >= 1);
+        let (open, free) = (live_paths(&e), e.free_paths.len());
+        let drained: Vec<u64> = live
+            .iter()
+            .filter(|&&(_, p)| p == 0)
+            .map(|&(k, _)| k)
+            .collect();
+        live.retain(|&(_, p)| p != 0);
+        for key in drained {
+            e.apply(FlowEvent::Depart { key });
+        }
+        e.flush();
+        assert_eq!(live_paths(&e), open - pair_paths);
+        assert_eq!(e.free_paths.len(), free + pair_paths);
+        assert_eq!(e.pair_head[pair], NO_PATH);
+        assert!(e
+            .members
+            .iter()
+            .flatten()
+            .all(|&p| e.paths[p as usize].count > 0));
+        // The reopened pair reuses a freed path slot.
+        arrive(&mut e, next_key, pairs[0].0, pairs[0].1);
+        e.flush();
+        assert_eq!(live_paths(&e), open - pair_paths + 1);
+        assert_eq!(e.free_paths.len(), free + pair_paths - 1);
+        assert_eq!(e.live(), live.len() + 1);
     }
 
     /// The exit's exactness edge: a flow whose every link is dead sits

@@ -2,15 +2,18 @@
 //! fresh full water-filling run when flow churn *races failure
 //! overlays* — departures and arrivals landing in the same batch as a
 //! link death exercise both the member swap-remove fixup on dead
-//! links and the zero-capacity cut in the dirty-region BFS.
+//! links and the zero-capacity cut in the dirty-region BFS. Hot-pair
+//! traces add many flows per path, so a reroute moves flows between
+//! shared paths, emptying some and joining others.
 
 use clos_churn::{
     ChurnConfig, ChurnEngine, FlowEvent, LocalReroute, OnlinePolicy, Pattern, SizeDist,
     TraceConfig, TraceGenerator,
 };
 use clos_fairness::{WaterfillInstance, WaterfillScratch};
-use clos_net::{ClosNetwork, FailureSchedule, Flow};
+use clos_net::{ClosNetwork, FailureEvent, FailureSchedule, Flow};
 use clos_rational::{Rational, Scalar, TotalF64};
+use clos_workloads::Workload;
 use proptest::prelude::*;
 
 /// Recomputes the live allocation from scratch over the engine's
@@ -106,8 +109,95 @@ fn run_race<S: Scalar + std::fmt::Debug>(
     engine
 }
 
+/// A C_2 trace concentrated on `pairs` host pairs (dozens of live
+/// flows per path) in which middle `middle` dies after `fail_at` events
+/// and the local fast reroute moves its flows onto the surviving
+/// middle's paths — joining paths other flows already hold and emptying
+/// the dead ones. Every survivor departs at the end. `verify` checks
+/// every epoch against the per-flow oracle.
+fn run_hot_reroute<S: Scalar + std::fmt::Debug>(
+    pairs: usize,
+    seed: u64,
+    batch: usize,
+    choice: u8,
+    middle: usize,
+    fail_at: usize,
+) -> ChurnEngine<S> {
+    let clos = ClosNetwork::standard(2);
+    let cfg = TraceConfig {
+        arrival_rate_per_sec: 1_000_000,
+        lifetime: SizeDist::Exponential { mean_ns: 120_000 },
+        pattern: Pattern::Replay(Workload::UniformRandom { flows: pairs }),
+        events: 400,
+        seed,
+    };
+    let death = FailureSchedule::new(vec![FailureEvent::RemoveMiddle { middle }]);
+    let mut engine = ChurnEngine::<S>::new(
+        clos.clone(),
+        policy(choice, seed),
+        ChurnConfig {
+            batch,
+            verify: true,
+        },
+    );
+    let mut reroute = LocalReroute::new(seed ^ 0x5eed);
+    for (i, ev) in TraceGenerator::new(&clos, &cfg).enumerate() {
+        engine.apply(ev.event);
+        if i + 1 == fail_at {
+            engine.apply_failure(&death.overlay_at(&clos, 1));
+            let moved = engine.reroute_failed(&mut reroute);
+            assert_eq!(moved.stuck, 0, "the other middle survives");
+        }
+    }
+    engine.flush();
+    assert_matches_fresh_run(&engine);
+    let survivors: Vec<u64> = engine.live_flows().map(|(key, _)| key).collect();
+    for key in survivors {
+        engine.apply(FlowEvent::Depart { key });
+    }
+    engine.flush();
+    assert_eq!(engine.live(), 0);
+    engine
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Exact rationals: a reroute that moves dozens of flows between
+    /// shared paths keeps every epoch bit-identical to the oracle, at
+    /// batch 1 and at a large batch.
+    #[test]
+    fn hot_pair_reroute_matches_oracle_rational(
+        pairs in 1usize..4,
+        seed in 0u64..1_000_000,
+        large_batch in any::<bool>(),
+        choice in 0u8..3,
+        middle in 0usize..2,
+        fail_at in 60usize..250,
+    ) {
+        let batch = if large_batch { 512 } else { 1 };
+        let engine = run_hot_reroute::<Rational>(pairs, seed, batch, choice, middle, fail_at);
+        let stats = engine.stats();
+        prop_assert!(stats.rerouted_flows > 0);
+        prop_assert!(4 * stats.recomputed_paths < stats.recomputed_flows);
+    }
+
+    /// Floating point (`TotalF64`): the same guarantee, bit for bit.
+    #[test]
+    fn hot_pair_reroute_matches_oracle_total_f64(
+        pairs in 1usize..4,
+        seed in 0u64..1_000_000,
+        large_batch in any::<bool>(),
+        choice in 0u8..3,
+        middle in 0usize..2,
+        fail_at in 60usize..250,
+    ) {
+        let batch = if large_batch { 512 } else { 1 };
+        let engine = run_hot_reroute::<TotalF64>(pairs, seed, batch, choice, middle, fail_at);
+        let stats = engine.stats();
+        prop_assert!(stats.rerouted_flows > 0);
+        prop_assert!(4 * stats.recomputed_paths < stats.recomputed_flows);
+    }
 
     /// Exact rationals: departures racing failures inside one batch
     /// keep the incremental state bit-identical to a fresh run.

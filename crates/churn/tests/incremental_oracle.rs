@@ -1,13 +1,17 @@
 //! Property tests: the incremental engine is bit-identical to a fresh
 //! full water-filling run over random event traces, in both scalar
-//! modes, at every batch size.
+//! modes, at every batch size — including hot-pair traces where dozens
+//! of flows share each path and the engine recomputes one entry per
+//! path.
 
 use clos_churn::{
-    ChurnConfig, ChurnEngine, OnlinePolicy, Pattern, SizeDist, TraceConfig, TraceGenerator,
+    ChurnConfig, ChurnEngine, FlowEvent, OnlinePolicy, Pattern, RecomputeStats, SizeDist,
+    TraceConfig, TraceGenerator,
 };
 use clos_fairness::{WaterfillInstance, WaterfillScratch};
 use clos_net::ClosNetwork;
 use clos_rational::{Rational, Scalar, TotalF64};
+use clos_workloads::Workload;
 use proptest::prelude::*;
 
 /// Recomputes the live allocation from scratch — fresh instance, fresh
@@ -90,8 +94,104 @@ fn run_trace<S: Scalar + std::fmt::Debug>(
     engine
 }
 
+/// Path keys on C_2: 2 classes × 8 sources × 8 destinations.
+const C2_PATH_KEYS: u64 = 2 * 8 * 8;
+
+/// Checks one epoch's stats growth: it recomputed at most every path
+/// key once and no more paths than flows.
+fn assert_epoch_aggregates(before: RecomputeStats, after: RecomputeStats) {
+    let paths = after.recomputed_paths - before.recomputed_paths;
+    let flows = after.recomputed_flows - before.recomputed_flows;
+    assert!(paths <= C2_PATH_KEYS, "{paths} paths in one epoch");
+    assert!(paths <= flows, "{paths} paths for {flows} flows");
+}
+
+/// Replays a C_2 trace concentrated on `pairs` host pairs (a replayed
+/// workload of that many random flows, cycled) whose lifetimes keep
+/// dozens of flows on each pair, then departs every survivor, emptying
+/// every path. `verify` checks every epoch against the per-flow oracle,
+/// and the result is checked against an independent fresh run just
+/// before the drain.
+fn run_hot_pairs<S: Scalar + std::fmt::Debug>(
+    pairs: usize,
+    events: usize,
+    seed: u64,
+    batch: usize,
+    choice: u8,
+) -> RecomputeStats {
+    let clos = ClosNetwork::standard(2);
+    let cfg = TraceConfig {
+        arrival_rate_per_sec: 1_000_000,
+        lifetime: SizeDist::Exponential { mean_ns: 120_000 },
+        pattern: Pattern::Replay(Workload::UniformRandom { flows: pairs }),
+        events,
+        seed,
+    };
+    let mut engine = ChurnEngine::<S>::new(
+        clos.clone(),
+        policy(choice, seed),
+        ChurnConfig {
+            batch,
+            verify: true,
+        },
+    );
+    let apply = |engine: &mut ChurnEngine<S>, event| {
+        let before = engine.stats();
+        engine.apply(event);
+        assert_epoch_aggregates(before, engine.stats());
+    };
+    for ev in TraceGenerator::new(&clos, &cfg) {
+        apply(&mut engine, ev.event);
+    }
+    let before = engine.stats();
+    engine.flush();
+    assert_epoch_aggregates(before, engine.stats());
+    assert_matches_fresh_run(&engine);
+    let survivors: Vec<u64> = engine.live_flows().map(|(key, _)| key).collect();
+    for key in survivors {
+        apply(&mut engine, FlowEvent::Depart { key });
+    }
+    engine.flush();
+    assert_eq!(engine.live(), 0);
+    assert!(engine.levels().is_empty());
+    engine.stats()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Hot pairs, exact rationals, at batch 1 and at a large batch:
+    /// every epoch matches the per-flow oracle, and the engine
+    /// recomputes several flows per path entry.
+    #[test]
+    fn hot_pairs_match_oracle_rational(
+        pairs in 1usize..4,
+        events in 200usize..500,
+        seed in 0u64..1_000_000,
+        large_batch in any::<bool>(),
+        choice in 0u8..3,
+    ) {
+        let batch = if large_batch { 512 } else { 1 };
+        let stats = run_hot_pairs::<Rational>(pairs, events, seed, batch, choice);
+        prop_assert!(stats.peak_live >= 40);
+        prop_assert!(4 * stats.recomputed_paths < stats.recomputed_flows);
+    }
+
+    /// Hot pairs in `TotalF64`: the repeated add of the aggregated
+    /// kernel rounds exactly like the per-flow oracle.
+    #[test]
+    fn hot_pairs_match_oracle_total_f64(
+        pairs in 1usize..4,
+        events in 200usize..500,
+        seed in 0u64..1_000_000,
+        large_batch in any::<bool>(),
+        choice in 0u8..3,
+    ) {
+        let batch = if large_batch { 512 } else { 1 };
+        let stats = run_hot_pairs::<TotalF64>(pairs, events, seed, batch, choice);
+        prop_assert!(stats.peak_live >= 40);
+        prop_assert!(4 * stats.recomputed_paths < stats.recomputed_flows);
+    }
 
     /// Exact rationals: incremental == fresh full run, and the engine's
     /// own full-recompute oracle (`verify`) agrees at every epoch.

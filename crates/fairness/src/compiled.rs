@@ -39,24 +39,43 @@
 //!
 //! # 32-bit index tables
 //!
-//! The scratch's CSR tables — each flow's dense links (`flow_links`,
-//! `flow_starts`) and each link's member flows (`members`,
-//! `member_starts`, plus the counting sort's `cursor`) — hold `u32`
-//! indices. At churn scale (10⁵ flows) a round is bound by random
-//! reads of these tables, and half-width entries halve the memory they
-//! pull through the cache. The bound is enforced where indices enter:
-//! [`WaterfillScratch::push_flow`] panics rather than truncate once a
-//! link index, the flow count, or the number of link entries exceeds
-//! `u32::MAX`. The public API keeps `usize` (`push_flow` takes
-//! `&[usize]`, [`WaterfillScratch::bottlenecks`] returns `&[usize]`) and
-//! the arithmetic is unchanged.
+//! The scratch's CSR tables — each entry's dense links (`flow_links`,
+//! `flow_starts`) and each link's member entries (`members`,
+//! `member_starts`, plus the counting sort's `cursor`) — and the
+//! per-entry multiplicities hold `u32` values. At 10⁵ entries a round is
+//! bound by random reads of these tables, and half-width entries halve
+//! the memory they pull through the cache. The bound is enforced where
+//! values enter: [`WaterfillScratch::push_flows`] panics rather than
+//! truncate once a link index, a multiplicity, the entry count, or the
+//! number of link entries exceeds `u32::MAX`. The public API keeps
+//! `usize` (`push_flow` takes `&[usize]`,
+//! [`WaterfillScratch::bottlenecks`] returns `&[usize]`).
+//!
+//! # Multiplicity
+//!
+//! An entry pushed with [`WaterfillScratch::push_flows`] stands for `m`
+//! identical flows (flows with the same link set always share a rate
+//! and a bottleneck), so a caller with many flows on few paths — the
+//! churn engine, 10⁵ flows on at most 4 096 `C_4` paths — water-fills
+//! one entry per path. The entry adds `m` to each of its links' active
+//! counts, so every saturation level is the one `m` copies would see.
+//! When it freezes, each of its links gets the round's `level` added to
+//! its frozen load `m` times, through [`Scalar::add_times`]. Every flow
+//! frozen in a round adds that same `level`, so in `TotalF64` the
+//! running sum rounds exactly as it does for `m` separate flows; a
+//! single `level·m` would round differently and drift the rates.
+//! `Rational` overrides the repeat with one exact multiply-add, and
+//! `TotalF64` with a closed form that is bit-identical to the loop.
+//! Entries with `m = 1` ([`WaterfillScratch::push_flow`]) take a single
+//! plain add, so callers that never aggregate run per-flow arithmetic.
 //!
 //! # The scratch-reuse contract
 //!
 //! Between `run`s the scratch may only be refilled via
-//! [`WaterfillScratch::begin`] + [`WaterfillScratch::push_flow`]; both
-//! reuse the buffers' existing capacity. A warm run (the scratch has run
-//! at least once before) is counted in the `waterfill.scratch_reuse`
+//! [`WaterfillScratch::begin`] + [`WaterfillScratch::push_flow`] (or
+//! [`WaterfillScratch::push_flows`]); all reuse the buffers' existing
+//! capacity. A warm run (the scratch has run at least once before) is
+//! counted in the `waterfill.scratch_reuse`
 //! telemetry counter, and allocates only if the new description is
 //! *larger* than anything the scratch has seen — steady-state loops over
 //! a fixed instance therefore touch the allocator exactly never (asserted
@@ -194,8 +213,8 @@ impl<S: Scalar> WaterfillInstance<S> {
 
         // Per-link member lists, rebuilt by counting sort into one flat
         // `u32` buffer: count occurrences, prefix-sum into starts, then
-        // fill. Every position and flow index fits in `u32` because
-        // `push_flow` checked the description's size on entry.
+        // fill. Every position and entry index fits in `u32` because
+        // `push_flows` checked the description's size on entry.
         s.active_count.clear();
         s.active_count.resize(links, 0);
         for &d in &s.flow_links {
@@ -215,6 +234,16 @@ impl<S: Scalar> WaterfillInstance<S> {
             s.member_starts.push(total as u32);
             if c > 0 {
                 s.active_links.push(d);
+            }
+        }
+        // The members are entries, but `active_count` counts flows: an
+        // entry of multiplicity `m` adds its other `m - 1` flows.
+        for i in 0..flows {
+            let extra = s.multiplicity[i] as usize - 1;
+            if extra > 0 {
+                for k in s.flow_starts[i] as usize..s.flow_starts[i + 1] as usize {
+                    s.active_count[s.flow_links[k] as usize] += extra;
+                }
             }
         }
         s.cursor.clear();
@@ -292,12 +321,23 @@ impl<S: Scalar> WaterfillInstance<S> {
             debug_assert!(!s.newly_frozen.is_empty(), "progress each round");
             counters::WATERFILL_ROUNDS.incr();
             s.levels.push(level);
+            // Every flow frozen this round adds the same `level` to each
+            // of its links, so an entry of multiplicity `m` adds it `m`
+            // times: in `TotalF64` the running sum then rounds exactly as
+            // it does for `m` separate flows (a single `level·m` would
+            // not), and `Rational` does it in one exact multiply-add. A
+            // single flow keeps the plain add, inlined.
             for i in 0..s.newly_frozen.len() {
                 let f = s.newly_frozen[i];
+                let m = s.multiplicity[f] as usize;
                 for k in s.flow_starts[f] as usize..s.flow_starts[f + 1] as usize {
                     let d = s.flow_links[k] as usize;
-                    s.active_count[d] -= 1;
-                    s.frozen_load[d] += level;
+                    s.active_count[d] -= m;
+                    if m == 1 {
+                        s.frozen_load[d] += level;
+                    } else {
+                        s.frozen_load[d].add_times(level, m);
+                    }
                     s.stale[d] = true;
                 }
                 remaining -= 1;
@@ -326,14 +366,17 @@ fn saturation_level<S: Scalar>(cap: S, frozen_load: S, active: usize) -> S {
 /// scratch-reuse contract).
 #[derive(Clone, Debug)]
 pub struct WaterfillScratch<S> {
-    /// Dense link indices of every flow, concatenated (a CSR layout with
-    /// `flow_starts`). Duplicate entries count double, exactly like a
-    /// path crossing the same link twice. This and the next four tables
-    /// are `u32`; `push_flow` checks that every entry fits.
+    /// Dense link indices of every entry, concatenated (a CSR layout with
+    /// `flow_starts`). Duplicate links count double, exactly like a
+    /// path crossing the same link twice. This and the other index
+    /// tables are `u32`; `push_flows` checks that every value fits.
     flow_links: Vec<u32>,
-    /// `flow_links[flow_starts[i]..flow_starts[i + 1]]` are flow `i`'s.
+    /// `flow_links[flow_starts[i]..flow_starts[i + 1]]` are entry `i`'s.
     flow_starts: Vec<u32>,
-    /// Member flows of every link, concatenated (CSR with
+    /// Per-entry multiplicity: the number of identical flows entry `i`
+    /// stands for (at least 1).
+    multiplicity: Vec<u32>,
+    /// Member entries of every link, concatenated (CSR with
     /// `member_starts`); rebuilt each run by a counting sort over
     /// `flow_links`.
     members: Vec<u32>,
@@ -342,13 +385,14 @@ pub struct WaterfillScratch<S> {
     /// Per-link fill cursor for the counting sort (a position in
     /// `members`).
     cursor: Vec<u32>,
-    /// Per-flow rate (the result).
+    /// Per-entry rate (the result).
     rates: Vec<S>,
-    /// Per-flow frozen flag.
+    /// Per-entry frozen flag.
     frozen: Vec<bool>,
-    /// Flows frozen in the current round, in freezing order.
+    /// Entries frozen in the current round, in freezing order.
     newly_frozen: Vec<usize>,
-    /// Per-link count of unfrozen member flows.
+    /// Per-link count of unfrozen member flows (an entry counts its
+    /// multiplicity).
     active_count: Vec<usize>,
     /// Dense indices of the links with `active_count > 0`, ascending.
     active_links: Vec<usize>,
@@ -361,7 +405,7 @@ pub struct WaterfillScratch<S> {
     stale: Vec<bool>,
     /// Fill level of each freezing round (the trace).
     levels: Vec<S>,
-    /// Per-flow dense index of the link that froze it (the bottleneck).
+    /// Per-entry dense index of the link that froze it (the bottleneck).
     bottleneck_of: Vec<usize>,
     /// Whether this scratch has completed a run before (telemetry).
     warm: bool,
@@ -374,6 +418,7 @@ impl<S: Scalar> WaterfillScratch<S> {
         WaterfillScratch {
             flow_links: Vec::new(),
             flow_starts: vec![0],
+            multiplicity: Vec::new(),
             members: Vec::new(),
             member_starts: Vec::new(),
             cursor: Vec::new(),
@@ -397,6 +442,7 @@ impl<S: Scalar> WaterfillScratch<S> {
         self.flow_links.clear();
         self.flow_starts.clear();
         self.flow_starts.push(0);
+        self.multiplicity.clear();
     }
 
     /// Appends the next flow, crossing the given dense link indices (from
@@ -404,26 +450,46 @@ impl<S: Scalar> WaterfillScratch<S> {
     ///
     /// # Panics
     ///
-    /// Panics if a link index, the flow count, or the total number of
+    /// Panics if a link index, the entry count, or the total number of
     /// link entries exceeds `u32::MAX` (the width of the index tables;
     /// see the module docs).
     pub fn push_flow(&mut self, links: &[usize]) {
+        self.push_flows(links, 1);
+    }
+
+    /// Appends one entry standing for `count` identical flows that all
+    /// cross the given dense link indices. The run treats it exactly
+    /// like `count` consecutive [`Self::push_flow`] calls with the same
+    /// links — same rates, levels, bottlenecks, and `waterfill.*`
+    /// counters, bit for bit — but reports one rate and one bottleneck
+    /// for the entry and does the per-flow work once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero, or if `count`, a link index, the entry
+    /// count, or the total number of link entries exceeds `u32::MAX` (the
+    /// width of the index tables; see the module docs).
+    pub fn push_flows(&mut self, links: &[usize], count: usize) {
         let index = |n: usize| {
             u32::try_from(n).expect("waterfill index tables hold at most u32::MAX entries")
         };
-        // The new flow's index must fit the member lists too.
+        assert!(count >= 1, "an entry stands for at least one flow");
+        // The new entry's index must fit the member lists too.
         index(self.flow_starts.len());
+        self.multiplicity.push(index(count));
         self.flow_links.extend(links.iter().map(|&d| index(d)));
         self.flow_starts.push(index(self.flow_links.len()));
     }
 
-    /// Number of flows described since the last [`Self::begin`].
+    /// Number of entries described since the last [`Self::begin`] (an
+    /// entry from [`Self::push_flows`] counts once, whatever its
+    /// multiplicity).
     #[must_use]
     pub fn flow_count(&self) -> usize {
         self.flow_starts.len() - 1
     }
 
-    /// Returns `true` if the last described flow crosses no link (its
+    /// Returns `true` if the last described entry crosses no link (its
     /// rate would be unbounded; see [`WaterfillInstance::run`]'s panic
     /// contract).
     #[must_use]
@@ -432,7 +498,8 @@ impl<S: Scalar> WaterfillScratch<S> {
         n >= 2 && self.flow_starts[n - 1] == self.flow_starts[n - 2]
     }
 
-    /// Per-flow rates of the last run, in flow order.
+    /// Per-entry rates of the last run, in entry order (every flow of an
+    /// entry gets the entry's rate).
     #[must_use]
     pub fn rates(&self) -> &[S] {
         &self.rates
@@ -444,7 +511,7 @@ impl<S: Scalar> WaterfillScratch<S> {
         &self.levels
     }
 
-    /// Per-flow dense index of the bottleneck link of the last run (map
+    /// Per-entry dense index of the bottleneck link of the last run (map
     /// back with [`WaterfillInstance::link_id`]).
     #[must_use]
     pub fn bottlenecks(&self) -> &[usize] {

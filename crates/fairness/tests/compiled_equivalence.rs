@@ -8,15 +8,34 @@
 //! assignment sequence, the compiled-scratch path produces *exactly* the
 //! same rates, water-filling levels, and bottleneck links as a fresh
 //! allocating call — in exact `Rational` arithmetic and in `TotalF64`,
-//! where "equal" means bit-equal, not approximately equal.
+//! where "equal" means bit-equal, not approximately equal. They also pin
+//! path aggregation: one entry of multiplicity `m` behaves exactly like
+//! `m` copies of its flow.
+//!
+//! The multiplicity tests compare the global `waterfill.*` telemetry
+//! counters, so every test in this binary serializes through one mutex.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use clos_fairness::{
     link_loads, max_min_fair_traced, max_min_fair_weighted, verify_bottleneck_property,
     WaterfillInstance, WaterfillScratch,
 };
-use clos_net::{ClosNetwork, Fabric, FatTree, Flow, LinkId, Routing};
+use clos_net::{
+    BenesNetwork, Capacity, CapacityMap, ClosNetwork, Fabric, FatTree, Flow, LinkId, NodeId,
+    Routing,
+};
 use clos_rational::{Rational, Scalar, TotalF64};
+use clos_telemetry::{counters, set_enabled};
 use proptest::prelude::*;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Serializes against every other test in this binary (the telemetry
+/// registry is global).
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Builds the flow collection on `C_n` from raw coordinate tuples.
 fn clos_flows(clos: &ClosNetwork, raw_flows: &[(usize, usize, usize, usize)]) -> Vec<Flow> {
@@ -91,6 +110,7 @@ fn all_assignments(n: usize, flows: usize) -> Vec<Vec<usize>> {
 /// assignments through one reused scratch, in both scalar modes.
 #[test]
 fn exhaustive_c2_hot_tor_both_scalars() {
+    let _serial = serial();
     let clos = ClosNetwork::standard(2);
     // Two flows off ToR 0 (shared uplinks), one intra-ToR, one crossing.
     let raw = [(0, 0, 2, 0), (0, 1, 2, 1), (1, 0, 1, 1), (3, 0, 0, 0)];
@@ -106,6 +126,7 @@ fn exhaustive_c2_hot_tor_both_scalars() {
 /// counting-sort layout must preserve exactly.
 #[test]
 fn duplicate_flows_c3_both_scalars() {
+    let _serial = serial();
     let clos = ClosNetwork::standard(3);
     let raw = [(0, 0, 3, 0), (0, 0, 3, 0), (0, 0, 3, 0), (1, 1, 4, 1)];
     let assignments = vec![
@@ -134,8 +155,8 @@ fn duplicate_flows_c3_both_scalars() {
 /// against the bottleneck property within a tolerance.
 #[test]
 fn churn_scale_c4_matches_independent_loop() {
-    use clos_net::{Capacity, CapacityMap};
     use rand::{Rng, SeedableRng};
+    let _serial = serial();
     let pristine = ClosNetwork::standard(4);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xc4);
     let raw: FlowTuples = (0..8000)
@@ -211,6 +232,191 @@ fn churn_scale_c4_matches_independent_loop() {
     .is_ok());
 }
 
+/// One run's results: per-entry rates and bottlenecks, the level trace,
+/// and the `waterfill.*` counters (calls, rounds, saturations, scratch
+/// reuse).
+type Outcome<S> = (Vec<S>, Vec<usize>, Vec<S>, [u64; 4]);
+
+/// Describes a collection with `describe` into a fresh scratch and runs
+/// it with telemetry on. The caller holds [`serial`].
+fn counted_run<S: Scalar>(
+    instance: &WaterfillInstance<S>,
+    describe: impl FnOnce(&mut WaterfillScratch<S>),
+) -> Outcome<S> {
+    let mut scratch = WaterfillScratch::new();
+    scratch.begin();
+    describe(&mut scratch);
+    set_enabled(true);
+    counters::reset_all();
+    instance.run(&mut scratch);
+    set_enabled(false);
+    let tally = [
+        &counters::WATERFILL_CALLS,
+        &counters::WATERFILL_ROUNDS,
+        &counters::WATERFILL_SATURATIONS,
+        &counters::WATERFILL_SCRATCH_REUSE,
+    ]
+    .map(|c| c.get());
+    (
+        scratch.rates().to_vec(),
+        scratch.bottlenecks().to_vec(),
+        scratch.levels().to_vec(),
+        tally,
+    )
+}
+
+/// Repeats each per-entry value `counts[i]` times.
+fn expand<T: Copy>(per_entry: &[T], counts: &[usize]) -> Vec<T> {
+    per_entry
+        .iter()
+        .zip(counts)
+        .flat_map(|(&x, &m)| std::iter::repeat_n(x, m))
+        .collect()
+}
+
+/// Runs `entries` — `(flow, class, multiplicity)` — once as one entry of
+/// multiplicity `m` each and once as `m` separate copies of each flow,
+/// and asserts that every copy gets its entry's rate and bottleneck and
+/// that levels and `waterfill.*` counters agree. An all-ones description
+/// through `push_flows` must also equal plain `push_flow` calls.
+fn assert_multiplicity_matches_copies<S: Scalar, F: Fabric>(
+    fabric: &F,
+    entries: &[(Flow, usize, usize)],
+) {
+    let instance = WaterfillInstance::<S>::compile(fabric.network());
+    let links: Vec<Vec<usize>> = entries
+        .iter()
+        .map(|&(flow, class, _)| {
+            fabric
+                .path_via_class(flow, class)
+                .links()
+                .iter()
+                .filter_map(|&l| instance.dense_index(l))
+                .collect()
+        })
+        .collect();
+    let counts: Vec<usize> = entries.iter().map(|&(.., m)| m).collect();
+
+    let grouped = counted_run(&instance, |s| {
+        for (l, &m) in links.iter().zip(&counts) {
+            s.push_flows(l, m);
+        }
+    });
+    let copies = counted_run(&instance, |s| {
+        for (l, &m) in links.iter().zip(&counts) {
+            for _ in 0..m {
+                s.push_flow(l);
+            }
+        }
+    });
+    assert_eq!(expand(&grouped.0, &counts), copies.0, "rates diverged");
+    assert_eq!(
+        expand(&grouped.1, &counts),
+        copies.1,
+        "bottlenecks diverged"
+    );
+    assert_eq!(grouped.2, copies.2, "levels diverged");
+    assert_eq!(grouped.3, copies.3, "waterfill counters diverged");
+
+    let ones = counted_run(&instance, |s| {
+        for l in &links {
+            s.push_flows(l, 1);
+        }
+    });
+    let plain = counted_run(&instance, |s| {
+        for l in &links {
+            s.push_flow(l);
+        }
+    });
+    assert_eq!(ones, plain, "multiplicity 1 differs from push_flow");
+}
+
+/// Builds a fabric case for the multiplicity proptest: the capacity
+/// overlay (`(link, code)`: code 0 kills the link, the others set 1/2,
+/// 3, or 2/3) and the entries (`(source, destination, class, m)`,
+/// indices taken modulo the fabric's terminals and classes), then checks
+/// both scalars — and, for the copies in exact arithmetic, the
+/// independent unit-weight allocator.
+fn multiplicity_case<F: Fabric>(
+    pristine: &F,
+    raw: &[(usize, usize, usize, usize)],
+    overlay: &[(usize, u8)],
+) {
+    let ids: Vec<LinkId> = pristine.network().links().map(|l| l.id()).collect();
+    let mut map = CapacityMap::new();
+    for &(l, code) in overlay {
+        let cap = match code {
+            0 => Rational::ZERO,
+            1 => Rational::new(1, 2),
+            2 => Rational::from_integer(3),
+            _ => Rational::new(2, 3),
+        };
+        map.insert(ids[l % ids.len()], Capacity::finite_value(cap));
+    }
+    let fabric = pristine.with_capacities(&map);
+    let nodes: Vec<NodeId> = fabric.network().nodes().map(|n| n.id()).collect();
+    let sources: Vec<NodeId> = nodes
+        .iter()
+        .copied()
+        .filter(|&n| fabric.source_coords(n).is_some())
+        .collect();
+    let destinations: Vec<NodeId> = nodes
+        .iter()
+        .copied()
+        .filter(|&n| fabric.destination_coords(n).is_some())
+        .collect();
+    let entries: Vec<(Flow, usize, usize)> = raw
+        .iter()
+        .map(|&(s, d, c, m)| {
+            let flow = Flow::new(
+                sources[s % sources.len()],
+                destinations[d % destinations.len()],
+            );
+            (flow, c % fabric.class_count(), m)
+        })
+        .collect();
+    assert_multiplicity_matches_copies::<Rational, _>(&fabric, &entries);
+    assert_multiplicity_matches_copies::<TotalF64, _>(&fabric, &entries);
+
+    let mut flows = Vec::new();
+    let mut paths = Vec::new();
+    for &(flow, class, m) in &entries {
+        for _ in 0..m {
+            flows.push(flow);
+            paths.push(fabric.path_via_class(flow, class));
+        }
+    }
+    let routing = Routing::new(paths);
+    let net = fabric.network();
+    let ones = vec![Rational::ONE; flows.len()];
+    let weighted = max_min_fair_weighted(net, &flows, &routing, &ones).unwrap();
+    let (fresh, _) = max_min_fair_traced::<Rational>(net, &flows, &routing).unwrap();
+    assert_eq!(fresh.rates(), weighted.rates());
+}
+
+/// Path aggregation at churn shape: a hot C_2 pair with dozens of flows
+/// per path next to single flows, plus a dead uplink.
+#[test]
+fn hot_paths_with_a_dead_link_match_copies() {
+    let _serial = serial();
+    let clos = ClosNetwork::standard(2);
+    let raw = [
+        (0, 4, 0, 37),
+        (0, 4, 1, 12),
+        (1, 5, 0, 1),
+        (2, 7, 1, 25),
+        (3, 0, 0, 1),
+        (6, 1, 1, 48),
+    ];
+    multiplicity_case(&clos, &raw, &[]);
+    let uplink = clos
+        .network()
+        .links()
+        .position(|l| l.id() == clos.uplink(0, 1))
+        .expect("uplink exists");
+    multiplicity_case(&clos, &raw, &[(uplink, 0)]);
+}
+
 /// Flow endpoints as `(src_group, src_host, dst_group, dst_host)` tuples.
 type FlowTuples = Vec<(usize, usize, usize, usize)>;
 
@@ -243,6 +449,7 @@ proptest! {
     fn compiled_equals_fresh_rational_c2(
         (raw, assignments) in flows_and_assignments(4, 2, 2, 10, 6),
     ) {
+        let _serial = serial();
         let clos = ClosNetwork::standard(2);
         let flows = clos_flows(&clos, &raw);
         assert_compiled_matches_fresh::<Rational, _>(&clos, &flows, &assignments);
@@ -253,6 +460,7 @@ proptest! {
     fn compiled_equals_fresh_rational_c3(
         (raw, assignments) in flows_and_assignments(6, 3, 3, 12, 4),
     ) {
+        let _serial = serial();
         let clos = ClosNetwork::standard(3);
         let flows = clos_flows(&clos, &raw);
         assert_compiled_matches_fresh::<Rational, _>(&clos, &flows, &assignments);
@@ -265,9 +473,30 @@ proptest! {
     fn compiled_equals_fresh_total_f64(
         (raw, assignments) in flows_and_assignments(6, 3, 3, 10, 6),
     ) {
+        let _serial = serial();
         let clos = ClosNetwork::standard(3);
         let flows = clos_flows(&clos, &raw);
         assert_compiled_matches_fresh::<TotalF64, _>(&clos, &flows, &assignments);
+    }
+
+    /// Path aggregation on random fabrics (C_2, C_3, a k = 4 fat-tree
+    /// at 2:1, a Benes network of order 3) with random capacity
+    /// overlays, zero capacities included: an entry of multiplicity `m`
+    /// gives the same rates, levels, bottlenecks, and `waterfill.*`
+    /// counters as `m` copies of its flow, in both scalars.
+    #[test]
+    fn multiplicity_equals_copies(
+        kind in 0..4usize,
+        raw in prop::collection::vec((0..64usize, 0..64usize, 0..16usize, 1..=40usize), 1..8),
+        overlay in prop::collection::vec((0..1024usize, 0..4u8), 0..6),
+    ) {
+        let _serial = serial();
+        match kind {
+            0 => multiplicity_case(&ClosNetwork::standard(2), &raw, &overlay),
+            1 => multiplicity_case(&ClosNetwork::standard(3), &raw, &overlay),
+            2 => multiplicity_case(&FatTree::new(4, Rational::TWO), &raw, &overlay),
+            _ => multiplicity_case(&BenesNetwork::standard(3), &raw, &overlay),
+        }
     }
 
     /// Idle-link skipping: flows confined to one pod of a k=8 fat-tree
@@ -282,6 +511,7 @@ proptest! {
         pod in 0..8usize,
         (raw, assignments) in flows_and_assignments(4, 4, 16, 12, 4),
     ) {
+        let _serial = serial();
         let ft = FatTree::new(8, Rational::TWO);
         let flows: Vec<Flow> = raw
             .iter()

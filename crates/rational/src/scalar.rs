@@ -80,6 +80,17 @@ pub trait Scalar:
     fn from_usize(n: usize) -> Self {
         Self::from_ratio(n as u64, 1)
     }
+
+    /// Adds `x` to `self` `n` times, one addition after another, so the
+    /// result is bit-identical to `n` separate `+= x` steps even when
+    /// each step rounds. An override must keep that result bit for bit:
+    /// [`Rational`] does one exact multiply-add, and [`TotalF64`] steps
+    /// a binade at a time.
+    fn add_times(&mut self, x: Self, n: usize) {
+        for _ in 0..n {
+            *self += x;
+        }
+    }
 }
 
 impl Scalar for Rational {
@@ -105,6 +116,11 @@ impl Scalar for Rational {
 
     fn is_zero(self) -> bool {
         Rational::is_zero(self)
+    }
+
+    /// One exact multiply-add: `self + n·x` is the repeated sum's value.
+    fn add_times(&mut self, x: Rational, n: usize) {
+        *self += x * Rational::from_integer(n as i128);
     }
 }
 
@@ -132,6 +148,12 @@ impl Scalar for TotalF64 {
 
     fn is_zero(self) -> bool {
         TotalF64::is_zero(self)
+    }
+
+    /// Bit-identical to the default's `n` rounding steps, a binade at a
+    /// time (see `repeated_add`).
+    fn add_times(&mut self, x: TotalF64, n: usize) {
+        *self = TotalF64::new(crate::total_f64::repeated_add(self.get(), x.get(), n));
     }
 }
 
@@ -167,6 +189,29 @@ mod tests {
         assert!(Scalar::is_zero(Rational::ZERO));
         assert!(Scalar::is_zero(TotalF64::ZERO));
         assert!(!Scalar::is_zero(Rational::ONE));
+    }
+
+    /// The repeated add of `TotalF64` rounds at every step (so it is not
+    /// `x·n`), and the exact multiply-add of `Rational` equals the loop.
+    #[test]
+    fn add_times_matches_repeated_addition() {
+        let mut looped = TotalF64::new(0.3);
+        for _ in 0..7 {
+            looped += TotalF64::new(0.1);
+        }
+        let mut repeated = TotalF64::new(0.3);
+        repeated.add_times(TotalF64::new(0.1), 7);
+        assert_eq!(repeated.get().to_bits(), looped.get().to_bits());
+        assert_ne!(looped.get(), 0.3 + 0.1 * 7.0);
+        for n in 0..5 {
+            let mut acc = Rational::new(1, 3);
+            acc.add_times(Rational::new(2, 7), n);
+            let mut slow = Rational::new(1, 3);
+            for _ in 0..n {
+                slow += Rational::new(2, 7);
+            }
+            assert_eq!(acc, slow);
+        }
     }
 
     #[test]

@@ -96,6 +96,73 @@ impl TotalF64 {
     }
 }
 
+/// `n` sequential `a += x` steps of `f64` (round-to-nearest-even)
+/// addition, bit for bit, in time proportional to the binades the sum
+/// crosses rather than to `n`.
+///
+/// Once `a` is a positive normal number with ulp `u`, every float in its
+/// binade `[2^E, 2^(E+1))` is a multiple of `u`. While the exact sum
+/// `a + x` stays below `2^(E+1)`, rounding it to the nearest multiple of
+/// `u` adds the same `δ` every step: `x = q·u + f·u` with `0 ≤ f < 1`
+/// rounds to `δ = q·u`, or `(q + 1)·u` when `f > 1/2`. The steps inside
+/// the binade are therefore one integer multiply-add on the significand.
+/// A tie (`f = 1/2`) alternates with the parity of `a`, so it takes plain
+/// steps, as do subnormal, infinite, and negative operands. A single
+/// plain step starts each binade, since `a` need not be a multiple of the
+/// ulp of the binade its first sum lands in.
+pub(crate) fn repeated_add(mut a: f64, x: f64, mut n: usize) -> f64 {
+    const FRACTION: u64 = (1 << 52) - 1;
+    const TOP: u64 = 1 << 53;
+    if x == 0.0 {
+        // Adding zero is idempotent after the first step (which may
+        // turn a negative zero positive).
+        if n > 0 {
+            a += x;
+        }
+        return a;
+    }
+    let plain = !(a >= 0.0 && x > 0.0 && a.is_finite() && x.is_finite());
+    while n > 0 {
+        a += x;
+        n -= 1;
+        if n == 0 || plain {
+            continue;
+        }
+        let bits = a.to_bits();
+        let exp = bits >> 52;
+        // The ulp `2^(exp - 1075)` must itself be a normal number.
+        if exp <= 52 || exp >= 0x7ff {
+            continue;
+        }
+        let u = f64::from_bits((exp - 52) << 52);
+        let sig = (bits & FRACTION) | (1 << 52);
+        // Exact: scaling by a power of two, then splitting off the
+        // integer part of a value below 2^53.
+        let scaled = x / u;
+        if scaled >= TOP as f64 {
+            continue;
+        }
+        let q = scaled as u64;
+        let f = scaled - q as f64;
+        if f == 0.5 {
+            continue;
+        }
+        let delta = q + u64::from(f > 0.5);
+        if delta == 0 {
+            // `x < u/2`: every further sum rounds back to `a`.
+            return a;
+        }
+        if sig + q >= TOP {
+            continue;
+        }
+        // Step `j` stays in the binade while `sig + j·delta + q < 2^53`.
+        let steps = (TOP - sig - q).div_ceil(delta).min(n as u64);
+        a = (sig + steps * delta) as f64 * u;
+        n -= steps as usize;
+    }
+    a
+}
+
 impl Eq for TotalF64 {}
 
 impl PartialOrd for TotalF64 {
