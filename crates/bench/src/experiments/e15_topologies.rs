@@ -62,8 +62,7 @@ pub struct Row {
 /// A shift-by-one (partial) permutation workload: source host `i` sends
 /// to destination host `i + 1 mod H`, for the first `take` sources.
 /// With `take = H` this is a full permutation of the hosts.
-#[must_use]
-pub fn ring_flows(net: &Network, take: usize) -> Vec<Flow> {
+fn ring_flows(net: &Network, take: usize) -> Vec<Flow> {
     let sources = net.nodes_of_kind(NodeKind::Source);
     let dests = net.nodes_of_kind(NodeKind::Destination);
     let h = sources.len();

@@ -99,7 +99,7 @@ use clos_rational::{Rational, Scalar};
 use clos_telemetry::{counters, timers};
 
 use crate::event::{FlowEvent, FlowKey};
-use crate::policy::OnlinePolicy;
+use crate::policy::{ClassLoad, OnlinePolicy};
 use crate::reroute::{LocalReroute, RerouteOutcome};
 
 /// Sentinel in the key→slot table: the key has no live flow.
@@ -280,7 +280,7 @@ pub struct ChurnEngine<S, F: Fabric = ClosNetwork> {
 
     // Apply-time work buffers, reused across events.
     path_buf: Vec<LinkId>,
-    class_loads: Vec<u32>,
+    class_loads: Vec<ClassLoad>,
     // Epoch work buffers, reused across epochs.
     flow_links: Vec<usize>,
     path_mark: Vec<bool>,
@@ -384,16 +384,17 @@ impl<S: Scalar, F: Fabric> ChurnEngine<S, F> {
         d
     }
 
-    /// Maximum live-flow count over the interior links of the path,
-    /// the congestion the policy compares across classes. (Host access
-    /// links are class-independent, so they cancel; a degenerate path
-    /// with no interior reads all of its links.)
-    fn interior_load(&self, len: usize) -> u32 {
+    /// Maximum and summed live-flow counts over the interior links of
+    /// the path, in one branch-free pass. (Host access links are
+    /// class-independent, so they cancel; a degenerate path with no
+    /// interior reads all of its links.)
+    fn interior_load(&self, len: usize) -> ClassLoad {
         let span = if len >= 3 { 1..len - 1 } else { 0..len };
-        let mut load = 0u32;
+        let mut load = ClassLoad::default();
         for i in span {
-            let d = self.dense(self.path_buf[i]);
-            load = load.max(self.live_count[d]);
+            let count = self.live_count[self.dense(self.path_buf[i])];
+            load.max = load.max.max(count);
+            load.sum += count;
         }
         load
     }

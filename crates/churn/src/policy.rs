@@ -19,6 +19,9 @@
 //! * First fit (cf. `FirstFitRouter`) — the first routing class whose
 //!   interior links all still have room for one more unit-demand flow,
 //!   falling back to the least congested class.
+//! * [`OnlinePolicy::LeastLoaded`] — the class whose interior links carry
+//!   the fewest live flows in total (on Clos, uplink plus downlink), ties
+//!   to the lowest index: the FCT simulator's rule, with no CLI name.
 //!
 //! Placed flows are never moved: a policy decision is final until the
 //! flow departs, which is exactly the unsplittable-flow constraint the
@@ -41,6 +44,17 @@ pub enum OnlinePolicy {
     /// Global first fit over live-flow counts with a least-congested
     /// fallback.
     FirstFit,
+    /// Least-loaded placement over summed live-flow counts.
+    LeastLoaded,
+}
+
+/// The live-flow load of one candidate path's interior links.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub(crate) struct ClassLoad {
+    /// The largest count (on Clos, the busier of uplink and downlink).
+    pub(crate) max: u32,
+    /// The summed count (on Clos, uplink plus downlink).
+    pub(crate) sum: u32,
 }
 
 impl OnlinePolicy {
@@ -84,51 +98,48 @@ impl OnlinePolicy {
             OnlinePolicy::Ecmp { .. } => "ecmp",
             OnlinePolicy::Greedy => "greedy",
             OnlinePolicy::FirstFit => "first-fit",
+            OnlinePolicy::LeastLoaded => "least-loaded",
         }
     }
 
     /// Picks the routing class for one arriving flow.
     ///
-    /// `loads[c]` is the maximum live-flow count over the interior
-    /// links of the flow's candidate path via class `c` (on Clos, the
-    /// larger of the uplink and downlink counts); `capacity` is the
-    /// nominal fabric link capacity consulted by first fit. The slice
-    /// has one entry per routing class and must be non-empty.
-    pub(crate) fn pick_class(&mut self, loads: &[u32], capacity: Rational) -> usize {
+    /// `loads[c]` is the interior load of the flow's candidate path via
+    /// class `c` (greedy and first fit read its maximum, least-loaded its
+    /// sum); `capacity` is the nominal fabric link capacity consulted by
+    /// first fit. The slice has one entry per class and must be non-empty.
+    pub(crate) fn pick_class(&mut self, loads: &[ClassLoad], capacity: Rational) -> usize {
         let n = loads.len();
         match self {
             OnlinePolicy::Ecmp { rng } => rng.gen_range(0..n),
-            OnlinePolicy::Greedy => {
-                // Path congestion after placing one unit-demand flow.
-                let best = (0..n).min_by_key(|&c| (loads[c] + 1, c));
-                let Some(best) = best else {
-                    unreachable!("class count is positive")
-                };
-                best
-            }
-            OnlinePolicy::FirstFit => {
-                let fits =
-                    (0..n).find(|&c| Rational::from_integer(i128::from(loads[c]) + 1) <= capacity);
-                match fits {
-                    Some(c) => c,
-                    None => {
-                        // No class fits: fall back to least congestion,
-                        // as FirstFitRouter does.
-                        let least = (0..n).min_by_key(|&c| (loads[c], c));
-                        let Some(least) = least else {
-                            unreachable!("class count is positive")
-                        };
-                        least
-                    }
-                }
-            }
+            // Path congestion after placing one unit-demand flow.
+            OnlinePolicy::Greedy => lowest(n, |c| loads[c].max + 1),
+            OnlinePolicy::FirstFit => (0..n)
+                .find(|&c| Rational::from_integer(i128::from(loads[c].max) + 1) <= capacity)
+                // No class fits: fall back to least congestion, as
+                // FirstFitRouter does.
+                .unwrap_or_else(|| lowest(n, |c| loads[c].max)),
+            OnlinePolicy::LeastLoaded => lowest(n, |c| loads[c].sum),
         }
     }
+}
+
+/// The class in `0..n` with the smallest `key`, ties to the lowest index.
+fn lowest(n: usize, key: impl Fn(usize) -> u32) -> usize {
+    let Some(best) = (0..n).min_by_key(|&c| (key(c), c)) else {
+        unreachable!("class count is positive")
+    };
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Loads whose maximum and sum are both `max` (one interior link).
+    fn maxes(max: &[u32]) -> Vec<ClassLoad> {
+        max.iter().map(|&m| ClassLoad { max: m, sum: m }).collect()
+    }
 
     #[test]
     fn names_round_trip() {
@@ -137,6 +148,9 @@ mod tests {
             assert_eq!(p.map(|p| p.name()), Some(name));
         }
         assert!(OnlinePolicy::from_name("annealing", 1).is_none());
+        // Least-loaded is the FCT simulator's rule, not a bench option.
+        assert_eq!(OnlinePolicy::LeastLoaded.name(), "least-loaded");
+        assert!(OnlinePolicy::from_name("least-loaded", 1).is_none());
     }
 
     #[test]
@@ -144,11 +158,11 @@ mod tests {
         let mut p = OnlinePolicy::greedy();
         let cap = Rational::ONE;
         // All empty: lowest index wins.
-        assert_eq!(p.pick_class(&[0, 0, 0], cap), 0);
+        assert_eq!(p.pick_class(&maxes(&[0, 0, 0]), cap), 0);
         // Class 0 loaded: spill to 1.
-        assert_eq!(p.pick_class(&[2, 0, 0], cap), 1);
+        assert_eq!(p.pick_class(&maxes(&[2, 0, 0]), cap), 1);
         // The max over a path's interior links is what spills.
-        assert_eq!(p.pick_class(&[3, 3, 1], cap), 2);
+        assert_eq!(p.pick_class(&maxes(&[3, 3, 1]), cap), 2);
     }
 
     #[test]
@@ -156,18 +170,29 @@ mod tests {
         let mut p = OnlinePolicy::first_fit();
         let cap = Rational::from_integer(2);
         // Class 0 is full (2 live flows), 1 fits.
-        assert_eq!(p.pick_class(&[2, 1, 0], cap), 1);
+        assert_eq!(p.pick_class(&maxes(&[2, 1, 0]), cap), 1);
         // Nothing fits: least-congested fallback, ties to lowest index.
-        assert_eq!(p.pick_class(&[3, 4, 2], cap), 2);
+        assert_eq!(p.pick_class(&maxes(&[3, 4, 2]), cap), 2);
     }
 
     #[test]
     fn ecmp_is_seed_deterministic() {
         let cap = Rational::ONE;
+        let idle = maxes(&[0; 4]);
         let mut a = OnlinePolicy::ecmp(9);
         let mut b = OnlinePolicy::ecmp(9);
         for _ in 0..64 {
-            assert_eq!(a.pick_class(&[0; 4], cap), b.pick_class(&[0; 4], cap));
+            assert_eq!(a.pick_class(&idle, cap), b.pick_class(&idle, cap));
         }
+    }
+
+    #[test]
+    fn least_loaded_takes_the_smallest_sum_ties_low() {
+        let mut p = OnlinePolicy::LeastLoaded;
+        let load = |max, sum| ClassLoad { max, sum };
+        // The sum decides, not the maximum; equal sums go to the lowest.
+        let loads = [load(3, 5), load(4, 4), load(2, 4), load(1, 6)];
+        assert_eq!(p.pick_class(&loads, Rational::ONE), 1);
+        assert_eq!(p.pick_class(&maxes(&[2, 2, 2]), Rational::ONE), 0);
     }
 }

@@ -171,27 +171,7 @@ pub fn max_min_fair_traced<S: Scalar>(
         "invalid routing passed to max_min_fair"
     );
 
-    // Compile once, describe the routing into a fresh scratch, run once.
-    // Only finite links can bottleneck flows; the instance holds a dense
-    // array of just those, so no per-link `Option<S>` is ever unwrapped.
-    let instance = WaterfillInstance::<S>::compile(net);
-    let mut scratch = WaterfillScratch::new();
-    scratch.begin();
-    let mut buf: Vec<usize> = Vec::new();
-    for (i, path) in routing.paths().iter().enumerate() {
-        buf.clear();
-        for &e in path.links() {
-            assert!(e.index() < net.link_count(), "path references foreign link");
-            if let Some(d) = instance.dense_index(e) {
-                buf.push(d);
-            }
-        }
-        // A flow with no finite link would fill forever.
-        if buf.is_empty() {
-            return Err(FairnessError::UnboundedRate(FlowId::from(i)));
-        }
-        scratch.push_flow(&buf);
-    }
+    let (instance, mut scratch) = describe_routing::<S>(net, routing, |_| 1)?;
     instance.run(&mut scratch);
 
     let bottleneck_of = scratch
@@ -206,6 +186,32 @@ pub fn max_min_fair_traced<S: Scalar>(
             bottleneck_of,
         },
     ))
+}
+
+/// Compiles `net` and describes `routing` into a fresh scratch, flow `i`
+/// as one entry of multiplicity `multiplicity(i)`, or reports the first
+/// flow with no finite link (it would fill forever).
+pub(crate) fn describe_routing<S: Scalar>(
+    net: &Network,
+    routing: &Routing,
+    multiplicity: impl Fn(usize) -> usize,
+) -> Result<(WaterfillInstance<S>, WaterfillScratch<S>), FairnessError> {
+    let instance = WaterfillInstance::<S>::compile(net);
+    let mut scratch = WaterfillScratch::new();
+    scratch.begin();
+    let mut buf: Vec<usize> = Vec::new();
+    for (i, path) in routing.paths().iter().enumerate() {
+        buf.clear();
+        for &e in path.links() {
+            assert!(e.index() < net.link_count(), "path references foreign link");
+            buf.extend(instance.dense_index(e));
+        }
+        if buf.is_empty() {
+            return Err(FairnessError::UnboundedRate(FlowId::from(i)));
+        }
+        scratch.push_flows(&buf, multiplicity(i));
+    }
+    Ok((instance, scratch))
 }
 
 #[cfg(test)]

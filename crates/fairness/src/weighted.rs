@@ -1,4 +1,4 @@
-//! Weighted max-min fairness: progressive filling with per-flow weights.
+//! Weighted max-min fairness over the compiled kernel's multiplicities.
 //!
 //! Classic congestion control shares each bottleneck equally (§2.2); the
 //! *weighted* variant grows every flow's rate proportionally to a weight
@@ -9,10 +9,22 @@
 //! macro-switch abstraction promised, which blunts the `1/n` starvation of
 //! Theorem 4.3 (see the `weighted_rescues_theorem_4_3` test and example
 //! E9 discussion).
+//!
+//! There is no second filling loop. Let `D` be the lcm of the weights'
+//! denominators and `g` the gcd of the products `w_f·D`. Scaling all
+//! weights by `D/g` changes no rate and yields coprime integers `m_f`. A
+//! flow of weight `m_f` fills exactly like `m_f` unit flows on its path,
+//! i.e. one kernel entry of multiplicity `m_f` ([`push_flows`]), and its
+//! rate is `m_f` times the entry's. `Rational` is exact and canonical, so
+//! the rates equal a direct weighted fill's; the weighted bottleneck check
+//! below shares no code with the kernel and stays the independent one.
+//!
+//! [`push_flows`]: crate::WaterfillScratch::push_flows
 
 use clos_net::{Flow, FlowId, Network, Routing};
-use clos_rational::Scalar;
+use clos_rational::{Rational, Scalar};
 
+use crate::waterfill::describe_routing;
 use crate::{Allocation, FairnessError};
 
 /// Computes the weighted max-min fair allocation of a routed collection:
@@ -31,8 +43,9 @@ use crate::{Allocation, FairnessError};
 ///
 /// # Panics
 ///
-/// Panics if weights/routing do not match the flow collection or any
-/// weight is non-positive.
+/// Panics if weights/routing do not match the flow collection, if any
+/// weight is non-positive, or if the weights scale to integer
+/// multiplicities above `u32::MAX`.
 ///
 /// # Examples
 ///
@@ -56,116 +69,55 @@ use crate::{Allocation, FairnessError};
 /// ```
 ///
 /// [`max_min_fair`]: crate::max_min_fair
-pub fn max_min_fair_weighted<S: Scalar>(
+pub fn max_min_fair_weighted(
     net: &Network,
     flows: &[Flow],
     routing: &Routing,
-    weights: &[S],
-) -> Result<Allocation<S>, FairnessError> {
+    weights: &[Rational],
+) -> Result<Allocation<Rational>, FairnessError> {
     assert_eq!(routing.len(), flows.len(), "routing/flows length mismatch");
     assert_eq!(weights.len(), flows.len(), "weights/flows length mismatch");
     assert!(
-        weights.iter().all(|w| *w > S::zero()),
+        weights.iter().all(|w| w.is_positive()),
         "weights must be strictly positive"
     );
-
-    // Only finite links can bottleneck flows; as in the unweighted
-    // waterfill, the loop below works on a dense array of just those
-    // links so link capacities are plain values, never `Option`s.
-    let mut dense_of_link: Vec<Option<usize>> = vec![None; net.link_count()];
-    let mut finite_caps: Vec<S> = Vec::new();
-    for link in net.links() {
-        if let Some(cap) = link.capacity().finite() {
-            dense_of_link[link.id().index()] = Some(finite_caps.len());
-            finite_caps.push(S::from_rational(cap));
-        }
-    }
-
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); finite_caps.len()];
-    let mut finite_links_of_flow: Vec<Vec<usize>> = vec![Vec::new(); flows.len()];
-    for (i, path) in routing.paths().iter().enumerate() {
-        for &e in path.links() {
-            let e = e.index();
-            assert!(e < net.link_count(), "path references foreign link");
-            if let Some(d) = dense_of_link[e] {
-                members[d].push(i);
-                finite_links_of_flow[i].push(d);
-            }
-        }
-    }
-    for (i, links) in finite_links_of_flow.iter().enumerate() {
-        if links.is_empty() {
-            return Err(FairnessError::UnboundedRate(FlowId::from(i)));
-        }
-    }
-
-    let mut rates = vec![S::zero(); flows.len()];
-    let mut frozen = vec![false; flows.len()];
-    // Per-link: sum of weights of unfrozen member flows, and frozen load.
-    let mut active_weight: Vec<S> = vec![S::zero(); finite_caps.len()];
-    for (d, ms) in members.iter().enumerate() {
-        for &f in ms {
-            active_weight[d] += weights[f];
-        }
-    }
-    let mut frozen_load: Vec<S> = vec![S::zero(); finite_caps.len()];
-    let mut remaining = flows.len();
-
-    while remaining > 0 {
-        let mut level: Option<S> = None;
-        for d in 0..finite_caps.len() {
-            if active_weight[d] <= S::zero() || members[d].is_empty() {
-                continue;
-            }
-            // Skip links whose members are all frozen.
-            if members[d].iter().all(|&f| frozen[f]) {
-                continue;
-            }
-            let residual = if finite_caps[d] > frozen_load[d] {
-                finite_caps[d] - frozen_load[d]
-            } else {
-                S::zero()
-            };
-            let l = residual / active_weight[d];
-            level = Some(match level {
-                None => l,
-                Some(best) => best.min(l),
-            });
-        }
-        // Every unfrozen flow touches a finite link (checked above), so
-        // while `remaining > 0` some link still has an unfrozen member.
-        let level = level.expect("invariant: unfrozen flows always touch a finite link");
-
-        let mut newly_frozen = Vec::new();
-        for d in 0..finite_caps.len() {
-            if members[d].iter().all(|&f| frozen[f]) {
-                continue;
-            }
-            let residual = if finite_caps[d] > frozen_load[d] {
-                finite_caps[d] - frozen_load[d]
-            } else {
-                S::zero()
-            };
-            if residual / active_weight[d] == level {
-                for &f in &members[d] {
-                    if !frozen[f] {
-                        frozen[f] = true;
-                        rates[f] = weights[f] * level;
-                        newly_frozen.push(f);
-                    }
-                }
-            }
-        }
-        debug_assert!(!newly_frozen.is_empty(), "progress each round");
-        for &f in &newly_frozen {
-            for &d in &finite_links_of_flow[f] {
-                active_weight[d] -= weights[f];
-                frozen_load[d] += rates[f];
-            }
-            remaining -= 1;
-        }
-    }
+    let multiplicities = integer_weights(weights)
+        .expect("weighted max-min: weights scale to integer multiplicities above u32::MAX");
+    let (instance, mut scratch) =
+        describe_routing::<Rational>(net, routing, |i| multiplicities[i])?;
+    instance.run(&mut scratch);
+    let rates = scratch
+        .rates()
+        .iter()
+        .zip(&multiplicities)
+        .map(|(&level, &m)| level * Rational::from_usize(m))
+        .collect();
     Ok(Allocation::from_rates(rates))
+}
+
+/// Scales positive weights to the coprime integers `w_f·D/g` (see the
+/// module docs), or `None` past `i128` or `u32::MAX`.
+fn integer_weights(weights: &[Rational]) -> Option<Vec<usize>> {
+    let lcm = weights.iter().try_fold(1i128, |d, w| {
+        (d / gcd(d, w.denominator())).checked_mul(w.denominator())
+    })?;
+    let scaled = weights
+        .iter()
+        .map(|w| w.numerator().checked_mul(lcm / w.denominator()))
+        .collect::<Option<Vec<i128>>>()?;
+    let g = scaled.iter().fold(0, |g, &s| gcd(g, s));
+    scaled
+        .iter()
+        .map(|&s| u32::try_from(s / g).ok().map(|m| m as usize))
+        .collect()
+}
+
+/// Euclid's gcd of non-negative integers; `gcd(0, 0) == 0`.
+fn gcd(mut a: i128, mut b: i128) -> i128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Verifies the weighted bottleneck property — the Lemma 2.2 analogue for
@@ -178,7 +130,7 @@ pub fn max_min_fair_weighted<S: Scalar>(
 /// # Errors
 ///
 /// Returns the first violation (an overloaded link, or a flow with no
-/// weighted bottleneck), reusing [`BottleneckViolation`].
+/// weighted bottleneck), reusing [`BottleneckViolation`](crate::BottleneckViolation).
 ///
 /// # Panics
 ///
@@ -467,6 +419,14 @@ mod tests {
         let flows = [Flow::new(ms.source(0, 0), ms.destination(0, 0))];
         let routing = ms.routing(&flows);
         let _ = max_min_fair_weighted(ms.network(), &flows, &routing, &[Rational::ZERO]);
+    }
+
+    #[test]
+    fn fractional_weights_scale_to_coprime_integers() {
+        let weights = [r(2, 3), r(4, 5), r(6, 1)];
+        // D = 15, w·D = (10, 12, 90), g = 2.
+        assert_eq!(integer_weights(&weights), Some(vec![5, 6, 45]));
+        assert_eq!(integer_weights(&[r(7, 2); 3]), Some(vec![1, 1, 1]));
     }
 
     #[test]

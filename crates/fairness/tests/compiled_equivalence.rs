@@ -142,9 +142,9 @@ fn duplicate_flows_c3_both_scalars() {
 
 /// Churn scale: 8000 random flows on C_4 with seeded random classes,
 /// so every link carries about 250 members and the `u32` index tables
-/// hold 32 000 link entries. The exact rates must match a fresh run,
-/// the independent unit-weight progressive-filling loop, and the
-/// bottleneck property.
+/// hold 32 000 link entries. The exact rates must match a fresh run
+/// and the unit-weight allocator, and pass the bottleneck property (the
+/// independent check: the weighted allocator runs this same kernel).
 ///
 /// On unit links, random member counts would drive exact rates through
 /// denominators beyond `i128`, so each uplink's capacity is its member
@@ -336,7 +336,7 @@ fn assert_multiplicity_matches_copies<S: Scalar, F: Fabric>(
 /// 3, or 2/3) and the entries (`(source, destination, class, m)`,
 /// indices taken modulo the fabric's terminals and classes), then checks
 /// both scalars — and, for the copies in exact arithmetic, the
-/// independent unit-weight allocator.
+/// unit-weight allocator and the independent bottleneck property.
 fn multiplicity_case<F: Fabric>(
     pristine: &F,
     raw: &[(usize, usize, usize, usize)],
@@ -392,6 +392,7 @@ fn multiplicity_case<F: Fabric>(
     let weighted = max_min_fair_weighted(net, &flows, &routing, &ones).unwrap();
     let (fresh, _) = max_min_fair_traced::<Rational>(net, &flows, &routing).unwrap();
     assert_eq!(fresh.rates(), weighted.rates());
+    assert!(verify_bottleneck_property(net, &flows, &routing, &fresh, Rational::ZERO).is_ok());
 }
 
 /// Path aggregation at churn shape: a hot C_2 pair with dozens of flows
@@ -504,8 +505,8 @@ proptest! {
     /// oversubscribed edge layer saturates before the host and core
     /// links, so links drain at different rounds. Both scalars must
     /// still match the fresh run, and the exact rates must be the
-    /// unique max-min fair allocation (checked against the independent
-    /// unit-weight allocator and the bottleneck property).
+    /// unique max-min fair allocation (checked against the unit-weight
+    /// allocator and the independent bottleneck property).
     #[test]
     fn compiled_equals_fresh_fat_tree_pod(
         pod in 0..8usize,

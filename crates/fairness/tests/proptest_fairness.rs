@@ -9,11 +9,16 @@
 #![allow(clippy::type_complexity)]
 
 use clos_fairness::{
-    is_feasible, link_loads, max_min_fair, verify_bottleneck_property, Allocation,
+    is_feasible, link_loads, max_min_fair, max_min_fair_weighted, verify_bottleneck_property,
+    verify_weighted_bottleneck_property, Allocation,
 };
-use clos_net::{ClosNetwork, Flow, FlowId, MacroSwitch, Routing};
+use clos_net::{
+    BenesNetwork, Capacity, CapacityMap, ClosNetwork, Fabric, FatTree, Flow, FlowId, LinkId,
+    MacroSwitch, Network, NodeId, Routing,
+};
 use clos_rational::Rational;
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 /// A random flow collection on `C_n` plus a random routing, encoded as
 /// index tuples so proptest can shrink them.
@@ -45,6 +50,91 @@ fn build(
         .map(|(&f, &m)| clos.path_via(f, m))
         .collect();
     (flows, routing)
+}
+
+/// A weight `p/q` with `1 ≤ p ≤ 11` and `1 ≤ q ≤ 7`.
+fn fraction() -> impl Strategy<Value = Rational> {
+    (1i128..12, 1i128..=7).prop_map(|(p, q)| Rational::new(p, q))
+}
+
+/// Checks weighted max-min on one routed collection: the allocation is
+/// feasible and has the weighted bottleneck property under the weights
+/// `picks` (cycled over the flows), and equal weights `common`
+/// reproduce plain max-min.
+fn weighted_case(
+    net: &Network,
+    flows: &[Flow],
+    routing: &Routing,
+    picks: &[Rational],
+    common: Rational,
+) -> Result<(), TestCaseError> {
+    let weights: Vec<Rational> = (0..flows.len()).map(|i| picks[i % picks.len()]).collect();
+    let a = max_min_fair_weighted(net, flows, routing, &weights).unwrap();
+    prop_assert!(is_feasible(net, flows, routing, &a).is_ok());
+    prop_assert!(verify_weighted_bottleneck_property(
+        net,
+        flows,
+        routing,
+        &a,
+        &weights,
+        Rational::ZERO
+    )
+    .is_ok());
+    let equal = vec![common; flows.len()];
+    let w = max_min_fair_weighted(net, flows, routing, &equal).unwrap();
+    let plain = max_min_fair::<Rational>(net, flows, routing).unwrap();
+    prop_assert_eq!(w, plain);
+    Ok(())
+}
+
+/// Runs [`weighted_case`] on `pristine` under a capacity overlay (codes
+/// 0–3: capacity 0, 1/2, 3, 2/3 on the picked links), with flows
+/// between raw terminal indices routed via raw class indices.
+fn overlay_case<F: Fabric>(
+    pristine: &F,
+    raw: &[(usize, usize, usize)],
+    overlay: &[(usize, u8)],
+    picks: &[Rational],
+    common: Rational,
+) -> Result<(), TestCaseError> {
+    let ids: Vec<LinkId> = pristine.network().links().map(|l| l.id()).collect();
+    let mut map = CapacityMap::new();
+    for &(l, code) in overlay {
+        let cap = match code {
+            0 => Rational::ZERO,
+            1 => Rational::new(1, 2),
+            2 => Rational::from_integer(3),
+            _ => Rational::new(2, 3),
+        };
+        map.insert(ids[l % ids.len()], Capacity::finite_value(cap));
+    }
+    let fabric = pristine.with_capacities(&map);
+    let nodes: Vec<NodeId> = fabric.network().nodes().map(|n| n.id()).collect();
+    let sources: Vec<NodeId> = nodes
+        .iter()
+        .copied()
+        .filter(|&n| fabric.source_coords(n).is_some())
+        .collect();
+    let destinations: Vec<NodeId> = nodes
+        .iter()
+        .copied()
+        .filter(|&n| fabric.destination_coords(n).is_some())
+        .collect();
+    let flows: Vec<Flow> = raw
+        .iter()
+        .map(|&(s, d, _)| {
+            Flow::new(
+                sources[s % sources.len()],
+                destinations[d % destinations.len()],
+            )
+        })
+        .collect();
+    let routing: Routing = flows
+        .iter()
+        .zip(raw)
+        .map(|(&f, &(_, _, c))| fabric.path_via_class(f, c % fabric.class_count()))
+        .collect();
+    weighted_case(fabric.network(), &flows, &routing, picks, common)
 }
 
 proptest! {
@@ -156,29 +246,35 @@ proptest! {
     /// Weighted water-filling satisfies the weighted bottleneck property
     /// on random instances, and reduces to the unweighted allocator when
     /// all weights are equal (even when that equal weight is not 1).
+    /// Weights are fractions `p/q` with `q ≤ 7`, so the allocator's
+    /// scaling to coprime integer multiplicities runs on every case.
     #[test]
     fn weighted_fairness_properties(
         (raw, middles) in flows_and_routing(2, 8),
-        weight_picks in prop::collection::vec(1u64..6, 8),
-        common in 1u64..5,
+        weight_picks in prop::collection::vec(fraction(), 8),
+        common in fraction(),
     ) {
-        use clos_fairness::{max_min_fair_weighted, verify_weighted_bottleneck_property};
         let clos = ClosNetwork::standard(2);
         let (flows, routing) = build(&clos, &raw, &middles);
-        let weights: Vec<Rational> = (0..flows.len())
-            .map(|i| Rational::from_integer(weight_picks[i % weight_picks.len()] as i128))
-            .collect();
-        let a = max_min_fair_weighted(clos.network(), &flows, &routing, &weights).unwrap();
-        prop_assert!(is_feasible(clos.network(), &flows, &routing, &a).is_ok());
-        prop_assert!(verify_weighted_bottleneck_property(
-            clos.network(), &flows, &routing, &a, &weights, Rational::ZERO
-        ).is_ok());
+        weighted_case(clos.network(), &flows, &routing, &weight_picks, common)?;
+    }
 
-        // Equal weights (any positive value) reproduce plain max-min.
-        let equal = vec![Rational::from_integer(common as i128); flows.len()];
-        let w = max_min_fair_weighted(clos.network(), &flows, &routing, &equal).unwrap();
-        let plain = max_min_fair::<Rational>(clos.network(), &flows, &routing).unwrap();
-        prop_assert_eq!(w, plain);
+    /// The same properties on a k = 4 fat-tree at 2:1 and a Benes
+    /// network of order 3, under a random capacity overlay that may
+    /// kill links (capacity zero) or give them fractional capacity.
+    #[test]
+    fn weighted_fairness_on_fat_tree_and_benes(
+        benes in any::<bool>(),
+        raw in prop::collection::vec((0..64usize, 0..64usize, 0..16usize), 1..10),
+        overlay in prop::collection::vec((0..1024usize, 0..4u8), 0..6),
+        weight_picks in prop::collection::vec(fraction(), 8),
+        common in fraction(),
+    ) {
+        if benes {
+            overlay_case(&BenesNetwork::standard(3), &raw, &overlay, &weight_picks, common)?;
+        } else {
+            overlay_case(&FatTree::new(4, Rational::TWO), &raw, &overlay, &weight_picks, common)?;
+        }
     }
 
     /// Throughput equals the sum of host-uplink loads (flow conservation
@@ -197,4 +293,20 @@ proptest! {
         }
         prop_assert_eq!(host_up_total, a.throughput());
     }
+}
+
+/// Weights 1/4294967311 and 1 scale to multiplicities 1 and 4294967311,
+/// one past what the kernel's `u32` tables hold: the allocator panics by
+/// name instead of with the kernel's generic width check.
+#[test]
+#[should_panic(expected = "weights scale to integer multiplicities above u32::MAX")]
+fn weights_beyond_u32_scaling_rejected() {
+    let ms = MacroSwitch::standard(1);
+    let flows = [
+        Flow::new(ms.source(0, 0), ms.destination(0, 0)),
+        Flow::new(ms.source(1, 0), ms.destination(0, 0)),
+    ];
+    let routing = ms.routing(&flows);
+    let weights = [Rational::new(1, 4_294_967_311), Rational::ONE];
+    let _ = max_min_fair_weighted(ms.network(), &flows, &routing, &weights);
 }

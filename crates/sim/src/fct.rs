@@ -13,9 +13,19 @@
 //! * [`Transport::Scheduling`] — flows are admitted in arrival order
 //!   whenever their whole path is idle and then run at full link rate;
 //!   blocked flows wait.
+//!
+//! # Built on the churn engine
+//!
+//! Each run drives one [`ChurnEngine`] in `TotalF64` with arrivals and
+//! completions as [`FlowEvent`]s keyed by arrival sequence number; the
+//! engine places arrivals with the [`OnlinePolicy`] matching the
+//! [`PathPolicy`]. Fair sharing flushes after every event and reads
+//! [`ChurnEngine::rate`], bit-identical to a fresh per-flow water-fill
+//! of the active set (a waterfill's result does not depend on its flows'
+//! order). Scheduling uses the engine for placement only.
 
-use clos_fairness::max_min_fair;
-use clos_net::{ClosNetwork, Flow, Routing};
+use clos_churn::{ChurnConfig, ChurnEngine, FlowEvent, OnlinePolicy};
+use clos_net::{ClosNetwork, Flow};
 use clos_rational::TotalF64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,7 +159,8 @@ struct Active {
     remaining: f64,
     arrival: f64,
     size: f64,
-    seq: usize,
+    /// Arrival sequence number, the flow's key in the engine.
+    key: u64,
 }
 
 /// The fate of one simulated flow.
@@ -229,7 +240,6 @@ pub fn simulate_fct_records(
     assert!(config.arrival_rate > 0.0, "arrival rate must be positive");
     let mut rng = StdRng::seed_from_u64(config.seed);
     let hosts = clos.tor_count() * clos.hosts_per_tor();
-    let n = clos.middle_count();
 
     // Pre-generate the arrival process.
     let mut arrivals = Vec::with_capacity(config.flow_count);
@@ -241,37 +251,57 @@ pub fn simulate_fct_records(
         let dst = rng.gen_range(0..hosts);
         let size = config.size_dist.sample(&mut rng);
         assert!(size > 0.0, "flow sizes must be positive");
-        arrivals.push((t_arr, src, dst, size, seq));
+        arrivals.push((t_arr, src, dst, size, seq as u64));
     }
+
+    // ECMP draws continue the stream the arrivals were drawn from.
+    let online = match policy {
+        PathPolicy::Random => OnlinePolicy::Ecmp { rng },
+        PathPolicy::LeastLoaded => OnlinePolicy::LeastLoaded,
+    };
+    // Fair sharing publishes rates after every event; scheduling only
+    // places flows and never flushes.
+    let batch = match transport {
+        Transport::FairSharing => 1,
+        Transport::Scheduling => usize::MAX,
+    };
+    let cfg = ChurnConfig {
+        batch,
+        verify: false,
+    };
+    let mut engine = ChurnEngine::<TotalF64>::new(clos.clone(), online, cfg);
 
     let mut active: Vec<Active> = Vec::new();
     let mut records: Vec<FlowRecord> = Vec::new();
+    let mut rates: Vec<f64> = Vec::new();
     let mut now = 0.0f64;
     let mut next_arrival = 0usize;
     let mut makespan = 0.0f64;
 
-    let compute_rates = |active: &[Active]| -> Vec<f64> {
+    const EPS: f64 = 1e-12;
+    loop {
+        if active.is_empty() && next_arrival == arrivals.len() {
+            break;
+        }
+        debug_assert_eq!(engine.live(), active.len(), "engine tracks the active set");
+        rates.clear();
         match transport {
             Transport::FairSharing => {
-                if active.is_empty() {
-                    return Vec::new();
-                }
-                let flows: Vec<Flow> = active.iter().map(|a| a.flow).collect();
-                let routing: Routing = active
-                    .iter()
-                    .map(|a| clos.path_via(a.flow, a.middle))
-                    .collect();
-                let alloc = max_min_fair::<TotalF64>(clos.network(), &flows, &routing)
-                    .expect("Clos links are finite");
-                alloc.rates().iter().map(|r| r.get()).collect()
+                debug_assert_eq!(engine.pending(), 0, "rates are flushed after every event");
+                rates.extend(active.iter().map(|a| {
+                    engine
+                        .rate(a.key)
+                        .expect("active flows are live in the engine")
+                        .get()
+                }));
             }
             Transport::Scheduling => {
                 // FIFO admission: scan in arrival order, admit flows whose
                 // entire path is free of admitted flows.
                 let mut order: Vec<usize> = (0..active.len()).collect();
-                order.sort_by_key(|&i| active[i].seq);
+                order.sort_by_key(|&i| active[i].key);
                 let mut used = vec![false; clos.network().link_count()];
-                let mut rates = vec![0.0; active.len()];
+                rates.resize(active.len(), 0.0);
                 for &i in &order {
                     let path = clos.path_via(active[i].flow, active[i].middle);
                     if path.links().iter().all(|e| !used[e.index()]) {
@@ -281,17 +311,8 @@ pub fn simulate_fct_records(
                         rates[i] = 1.0;
                     }
                 }
-                rates
             }
         }
-    };
-
-    const EPS: f64 = 1e-12;
-    loop {
-        if active.is_empty() && next_arrival == arrivals.len() {
-            break;
-        }
-        let rates = compute_rates(&active);
         // Next completion among flows with positive rate.
         let mut dt_complete = f64::INFINITY;
         for (a, &r) in active.iter().zip(&rates) {
@@ -321,6 +342,7 @@ pub fn simulate_fct_records(
             while i < active.len() {
                 if active[i].remaining <= EPS * active[i].size.max(1.0) {
                     let a = active.swap_remove(i);
+                    engine.apply(FlowEvent::Depart { key: a.key });
                     makespan = makespan.max(now);
                     records.push(FlowRecord {
                         arrival: a.arrival,
@@ -333,42 +355,25 @@ pub fn simulate_fct_records(
             }
         }
         if dt_arrival <= dt_complete && next_arrival < arrivals.len() {
-            let (t, src, dst, size, seq) = arrivals[next_arrival];
+            let (t, src, dst, size, key) = arrivals[next_arrival];
             debug_assert!(t <= now + EPS, "arrival handled at its timestamp");
-            {
-                next_arrival += 1;
-                let flow = Flow::new(
-                    clos.source(src / clos.hosts_per_tor(), src % clos.hosts_per_tor()),
-                    clos.destination(dst / clos.hosts_per_tor(), dst % clos.hosts_per_tor()),
-                );
-                let middle = match policy {
-                    PathPolicy::Random => rng.gen_range(0..n),
-                    PathPolicy::LeastLoaded => {
-                        let src_tor = clos.src_tor(flow);
-                        let dst_tor = clos.dst_tor(flow);
-                        let mut counts = vec![0usize; n];
-                        for a in &active {
-                            let a_src = clos.src_tor(a.flow);
-                            let a_dst = clos.dst_tor(a.flow);
-                            if a_src == src_tor {
-                                counts[a.middle] += 1;
-                            }
-                            if a_dst == dst_tor {
-                                counts[a.middle] += 1;
-                            }
-                        }
-                        (0..n).min_by_key(|&m| (counts[m], m)).expect("n >= 1")
-                    }
-                };
-                active.push(Active {
-                    flow,
-                    middle,
-                    remaining: size,
-                    arrival: now,
-                    size,
-                    seq,
-                });
-            }
+            next_arrival += 1;
+            let flow = Flow::new(
+                clos.source(src / clos.hosts_per_tor(), src % clos.hosts_per_tor()),
+                clos.destination(dst / clos.hosts_per_tor(), dst % clos.hosts_per_tor()),
+            );
+            engine.apply(FlowEvent::Arrive { key, flow });
+            let middle = engine
+                .class_of(key)
+                .expect("an arrival is live until it departs");
+            active.push(Active {
+                flow,
+                middle,
+                remaining: size,
+                arrival: now,
+                size,
+                key,
+            });
         }
     }
 

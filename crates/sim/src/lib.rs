@@ -13,8 +13,9 @@
 //!   fair congestion control versus an admission-control scheduler that
 //!   serializes flows at full link rate.
 //!
-//! Both run the same water-filling allocator as the exact theorem
-//! machinery, instantiated at `TotalF64` for speed.
+//! Both run the exact theorem machinery's water-filling kernel at
+//! `TotalF64` for speed; the FCT simulator reaches it through the
+//! `clos_churn::ChurnEngine` it drives.
 
 pub mod fct;
 pub mod rate_study;
